@@ -62,11 +62,6 @@ struct RunOutcome
     /** Headline access-profile numbers (armed profiled runs only;
      *  all-zero with profile.armed == false otherwise). */
     ProfileSummary profile;
-    /** Scripted-replay pipeline counters (sim/engine_ops.hh). Every
-     *  field except blocking_waits is deterministic across sim_threads
-     *  values; blocking_waits is wall-clock-dependent and never
-     *  rendered into byte-compared output. */
-    ScriptReplayStats replay;
 };
 
 /** Build + reorder the canonical instance of @p spec (cached per name). */
@@ -132,16 +127,6 @@ struct CompletedRun
  *                       iteration/final samples are taken);
  *   --jobs <n>          execute SweepRunner-planned runs on up to n
  *                       threads (default 1: fully sequential);
- *   --sim-threads <n>   intra-run parallelism: script-generation worker
- *                       threads inside each simulated run (default 1).
- *                       Simulated results are bit-identical for every
- *                       value (DESIGN.md "Epoch-scripted parallelism").
- *                       Values above the host's hardware concurrency are
- *                       clamped to it with a warning — extra workers
- *                       could only time-slice, adding overhead without
- *                       changing results. Passing the flag (any value)
- *                       adds a per-run "sim_parallel" counters object to
- *                       the --json document;
  *   --faults <spec>     arm every machine runOn() builds with the fault
  *                       plan parsed from <spec> (see FaultPlan::parse);
  *   --profile <path>    arm access profiling on every machine and write a
@@ -203,8 +188,6 @@ class BenchSession
     const std::vector<std::string> &args() const { return args_; }
     /** Worker threads for SweepRunner (--jobs, >= 1). */
     unsigned jobs() const { return jobs_; }
-    /** Intra-run script-generation threads (--sim-threads, >= 1). */
-    unsigned simThreads() const { return sim_threads_; }
     /** The --faults plan, or nullptr when no campaign is armed. */
     const FaultPlan *faultPlan() const
     {
@@ -290,11 +273,6 @@ class BenchSession
     std::string profile_path_;
     Cycles interval_cycles_ = 0;
     unsigned jobs_ = 1;
-    unsigned sim_threads_ = 1;
-    /** An explicit --sim-threads was given: gate for the per-run
-     *  "sim_parallel" JSON object, keeping the default document layout
-     *  (and the pinned golden digests over it) unchanged. */
-    bool sim_threads_given_ = false;
     std::optional<FaultPlan> faults_;
     bool aborted_ = false;
     std::string abort_reason_;

@@ -13,21 +13,16 @@
  * (default path: BENCH_throughput.json) so successive commits accumulate
  * a perf trajectory. An optional reference measurement — the same sweep
  * timed on an earlier build — can be embedded via --ref-* so the
- * document carries both numbers of a before/after comparison.
- *
- * --sim-threads <n> routes through a BenchSession so every run steps its
- * per-core timing models with an n-worker script pipeline (clamped to
- * hardware concurrency like the other benches); results are bit-identical
- * to the serial path, only the wall clock moves. The effective value is
- * recorded in the JSON document as "sim_threads".
+ * document carries both numbers of a before/after comparison. A --ref-*
+ * operand that is not a positive number exits 2.
  */
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,7 +36,7 @@ using namespace omega::bench;
 namespace {
 
 /** Document layout version (bump on incompatible schema changes). */
-constexpr int kThroughputSchemaVersion = 1;
+constexpr int kThroughputSchemaVersion = 2;
 
 struct RunTiming
 {
@@ -100,7 +95,6 @@ main(int argc, char **argv)
     std::string ref_label;
     double ref_edges_per_sec = 0.0;
     double ref_wall_seconds = 0.0;
-    long sim_threads = 0;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -111,6 +105,18 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto positive_value = [&](const char *flag) -> double {
+            const std::string tok = next_value(flag);
+            char *end = nullptr;
+            const double v = std::strtod(tok.c_str(), &end);
+            if (tok.empty() || *end != '\0' || !std::isfinite(v) ||
+                v <= 0.0) {
+                std::cerr << flag << " needs a positive number, got '"
+                          << tok << "'\n";
+                std::exit(2);
+            }
+            return v;
+        };
         if (arg == "--json") {
             // Path is optional: bare --json selects the canonical name.
             if (i + 1 < argc && argv[i + 1][0] != '-')
@@ -120,41 +126,14 @@ main(int argc, char **argv)
         } else if (arg == "--ref-label") {
             ref_label = next_value("--ref-label");
         } else if (arg == "--ref-edges-per-sec") {
-            ref_edges_per_sec =
-                std::strtod(next_value("--ref-edges-per-sec").c_str(),
-                            nullptr);
+            ref_edges_per_sec = positive_value("--ref-edges-per-sec");
         } else if (arg == "--ref-wall-seconds") {
-            ref_wall_seconds =
-                std::strtod(next_value("--ref-wall-seconds").c_str(),
-                            nullptr);
-        } else if (arg == "--sim-threads") {
-            sim_threads =
-                std::strtol(next_value("--sim-threads").c_str(), nullptr,
-                            10);
-            if (sim_threads <= 0) {
-                std::cerr << "--sim-threads needs a positive integer\n";
-                std::exit(2);
-            }
+            ref_wall_seconds = positive_value("--ref-wall-seconds");
         } else {
             std::cerr << "unknown argument: " << arg << "\n";
             std::exit(2);
         }
     }
-
-    // This bench predates BenchSession and keeps its own argv loop, but
-    // the intra-run worker count lives on the session runOn() consults —
-    // so synthesize a minimal one carrying just --sim-threads. The
-    // session applies the same validation and hardware-concurrency clamp
-    // as every other bench and, lacking --json/--trace, writes nothing.
-    std::optional<BenchSession> session;
-    std::string thread_flag = "--sim-threads";
-    std::string thread_value = std::to_string(sim_threads);
-    if (sim_threads > 0) {
-        char *sargv[] = {argv[0], thread_flag.data(), thread_value.data()};
-        session.emplace("bench_throughput", 3, sargv);
-    }
-    const unsigned effective_threads =
-        session.has_value() ? session->simThreads() : 1u;
 
     printBanner(std::cout,
                 "Host throughput: wall-clock of the fig14 sweep");
@@ -262,7 +241,6 @@ main(int argc, char **argv)
         w.field("schema_version", kThroughputSchemaVersion);
         w.field("bench", "bench_throughput");
         w.field("sweep", "fig14");
-        w.field("sim_threads", static_cast<std::uint64_t>(effective_threads));
         w.field("wall_seconds_total", total.wall_seconds);
         w.field("simulated_edges_total", total.edges);
         w.field("simulated_cycles_total", total.cycles);

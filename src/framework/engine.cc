@@ -44,12 +44,6 @@ Engine::Engine(const Graph &g, PropertyRegistry &props, UpdateFn fn,
         sparse_read_base_ +
         (static_cast<std::uint64_t>(n) * 4 + 63) / 64 * 64;
 
-    // Intra-run parallelism: a persistent pool generating per-core op
-    // scripts for the structurally pure phases (scriptedFor). Only the
-    // generation runs on it; the machine itself stays single-threaded.
-    if (mach_ && opts_.sim_threads > 1)
-        script_pool_ = std::make_unique<ThreadPool>(opts_.sim_threads);
-
     // Checkpoint sections: the engine's progress counters, then the
     // machine's whole state tree. Registration order is serialization
     // order; the algorithm's own sections follow (it constructs after

@@ -25,7 +25,6 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -36,7 +35,6 @@
 #include "sim/memory_system.hh"
 #include "translate/update_fn.hh"
 #include "util/check.hh"
-#include "util/thread_pool.hh"
 
 namespace omega {
 
@@ -71,18 +69,6 @@ struct EngineOptions
      * retiring. 0 disables the watchdog.
      */
     Cycles watchdog_cycles = 0;
-    /**
-     * Simulation worker threads for intra-run parallelism. 1 (the
-     * default) keeps everything on the calling thread. For N > 1 the
-     * engine pipelines structurally pure phases: workers generate each
-     * core's next epoch of op scripts (double-buffered banks, one ticket
-     * per core) — and, for phases that allow it, run the functional
-     * hooks at generation time — while the calling thread replays the
-     * current epoch into the machine in the canonical lowest-clock core
-     * order. Simulated results are bit-identical for every value
-     * (DESIGN.md "Epoch-scripted parallelism").
-     */
-    unsigned sim_threads = 1;
     /**
      * Checkpoint coordinator for crash-recoverable runs, or null. The
      * engine registers its own progress counters and the machine's
@@ -290,14 +276,8 @@ class Engine
      * locally — no atomics anywhere. @p gather is called per in-edge as
      *   gather(core, dst, src, weight)
      * and @p apply once per destination after its edges, with the engine
-     * emitting the destination-prop store.
-     *
-     * The main (one-task-per-destination) phase runs its gather/apply
-     * hooks at script-generation time — on worker threads with
-     * sim_threads > 1 — so @p gather and @p apply must write only
-     * destination-owned slots and emit no machine events. Hub overflow
-     * segments share destinations, so the extras phase keeps hooks at
-     * the merge.
+     * emitting the destination-prop store. @p gather and @p apply are
+     * functional-only: they must emit no machine events.
      *
      * @param src_prop property read per in-edge (the random stream).
      * @param dst_prop property stored once per destination.
@@ -326,9 +306,10 @@ class Engine
     void parallelFor(std::uint64_t total, F &&f, unsigned chunk = 0);
 
     /**
-     * Append-only view of one core's op arena, handed to scriptedFor()
-     * generators. hookHere() marks where the item's functional hook runs
-     * during replay (default: after all of the item's ops).
+     * Append-only view of the engine's script buffer, handed to
+     * scriptedFor() generators. hookHere() marks where the item's
+     * functional hook runs during replay (default: after all of the
+     * item's ops).
      */
     class ScriptBuilder
     {
@@ -336,11 +317,10 @@ class Engine
         explicit ScriptBuilder(std::vector<EngineOp> &ops) : ops_(ops) {}
         void push(const EngineOp &op) { ops_.push_back(op); }
         void hookHere() { hook_ = ops_.size(); }
-        std::uint32_t
+        std::size_t
         hookOffset() const
         {
-            return static_cast<std::uint32_t>(hook_ == kAtEnd ? ops_.size()
-                                                              : hook_);
+            return hook_ == kAtEnd ? ops_.size() : hook_;
         }
 
       private:
@@ -351,29 +331,18 @@ class Engine
 
     /**
      * Scripted parallel-for over [0, total) for structurally pure
-     * phases: per-item machine ops are *generated* into per-core scripts
-     * — concurrently on the script pool when sim_threads > 1 — then
-     * *replayed* on the calling thread in the canonical lowest-clock
-     * core order, with @p hook(core, index) running the item's
-     * functional work at its hook point. @p gen(builder, index) must be
-     * pure: it may read shared immutable state (graph, layout, subset)
-     * but never machine state, which is what makes the replayed stream —
-     * and therefore the simulated outcome — identical for every worker
-     * count. Ends with a barrier, like parallelFor().
-     *
-     * With @p concurrent_hooks the functional hook additionally runs at
-     * *generation* time — on a worker thread when sim_threads > 1 —
-     * instead of at the merge. Only legal when hooks commute across
-     * cores AND with the machine timing: per-item writes must target
-     * disjoint locations no other item (or the machine) reads during the
-     * phase, and the hook must emit no machine events. edgeMapPullAll's
-     * main gather phase qualifies (each destination vertex is owned by
-     * exactly one item and the source array is frozen); vertexMap does
-     * not (its functor may emit live events through the engine).
+     * phases: a parallelFor() whose per-item step generates the item's
+     * machine ops with @p gen(builder, index), replays them up to the
+     * builder's hook point, runs @p hook(core, index) (the item's
+     * functional work, which may emit live events), then replays the
+     * rest. @p gen must be pure — it may read shared immutable state
+     * (graph, layout, subset) but never machine state — so each item
+     * reaches the machine as at most two replayOps() runs. Ends with a
+     * barrier, like parallelFor().
      */
     template <typename GenF, typename HookF>
     void scriptedFor(std::uint64_t total, GenF &&gen, HookF &&hook,
-                     unsigned chunk = 0, bool concurrent_hooks = false);
+                     unsigned chunk = 0);
 
     /** @name Simulated address bases (exposed for algorithms/tests). @{ */
     std::uint64_t outOffsetsBase() const { return out_offsets_base_; }
@@ -425,63 +394,6 @@ class Engine
     /** Pick the core with the smallest clock among those with work. */
     unsigned pickCore(const StaticScheduler &sched) const;
 
-    /** One item of a per-core script: ops [begin,end) within the core's
-     *  arena, with the functional hook running at offset hook. */
-    struct ScriptItem
-    {
-        std::uint64_t index = 0;
-        std::uint32_t begin = 0;
-        std::uint32_t hook = 0;
-        std::uint32_t end = 0;
-    };
-
-    /** One epoch's worth of generated script for one core. */
-    struct ScriptBank
-    {
-        std::vector<EngineOp> ops;
-        std::vector<ScriptItem> items;
-        /** Next item to replay. */
-        std::size_t head = 0;
-
-        bool exhausted() const { return head == items.size(); }
-        void
-        clear()
-        {
-            ops.clear();
-            items.clear();
-            head = 0;
-        }
-    };
-
-    /**
-     * One core's script pipeline: a double-buffered pair of epoch banks.
-     * The merge thread replays the front bank while (with sim_threads >
-     * 1) a worker generates the back bank under @c ticket. The generation
-     * cursor fields are written ONLY inside the generator, which runs on
-     * at most one thread at a time; the merge thread reads gen_done only
-     * while no ticket is in flight, with the happens-before edge
-     * established through the pool mutex by the waitTicket() that
-     * cleared the ticket.
-     */
-    struct CoreScript
-    {
-        ScriptBank banks[2];
-        /** Index of the bank being replayed. */
-        unsigned front = 0;
-        /** Next global index this core generates (static-chunk order). */
-        std::uint64_t cursor = 0;
-        /** cursor's offset within its chunk (tracked incrementally so
-         *  the per-item hop needs no division). */
-        std::uint32_t chunk_off = 0;
-        bool gen_done = false;
-        /** In-flight back-bank generation (null when none). */
-        ThreadPool::Ticket ticket;
-    };
-
-    /** Items generated ahead per core between epoch barriers (a batching
-     *  knob only — replay order and content cannot depend on it). */
-    static constexpr unsigned kScriptEpochItems = 64;
-
     /** Flush the buffered ops of the current (impure) edge task. */
     void
     flushOps(unsigned core)
@@ -523,12 +435,11 @@ class Engine
     /** Cached per-core clocks for the parallelFor interleave scan. */
     std::vector<Cycles> core_clocks_;
 
-    /** Per-core scripts of the scriptedFor phase in flight. */
-    std::vector<CoreScript> scripts_;
     /** Inline op buffer of the (impure) push-edgeMap path. */
     std::vector<EngineOp> op_buf_;
-    /** Script-generation workers; null when sim_threads <= 1. */
-    std::unique_ptr<ThreadPool> script_pool_;
+    /** The current scriptedFor item's ops. Separate from op_buf_ because
+     *  vertexMap hooks may emit live events through the push path. */
+    std::vector<EngineOp> script_buf_;
 
     /** Reused task-list scratch for edgeMap / edgeMapPullAll. */
     std::vector<EdgeTask> task_scratch_;
@@ -622,183 +533,34 @@ Engine::parallelFor(std::uint64_t total, F &&f, unsigned chunk)
 template <typename GenF, typename HookF>
 void
 Engine::scriptedFor(std::uint64_t total, GenF &&gen, HookF &&hook,
-                    unsigned chunk, bool concurrent_hooks)
+                    unsigned chunk)
 {
-    const unsigned k = chunk ? chunk : opts_.chunk_size;
-    if (!mach_) {
-        // Functional mode: hooks only, drained round-robin exactly like
-        // parallelFor (no machine, no scripts, no barrier). Each hook
-        // still runs exactly once, so concurrent_hooks is moot here.
-        StaticScheduler sched(total, num_cores_, k);
-        while (!sched.done()) {
-            for (unsigned c = 0; c < num_cores_; ++c) {
-                if (auto i = sched.next(c))
-                    hook(c, *i);
-            }
-        }
-        return;
-    }
-    omega_check(num_cores_ <= 64,
-                "scripted replay tracks cores in a 64-bit set");
-
-    scripts_.resize(num_cores_);
-    for (unsigned c = 0; c < num_cores_; ++c) {
-        CoreScript &cs = scripts_[c];
-        cs.banks[0].clear();
-        cs.banks[1].clear();
-        cs.front = 0;
-        cs.cursor = static_cast<std::uint64_t>(c) * k;
-        cs.chunk_off = 0;
-        cs.gen_done = cs.cursor >= total;
-        cs.ticket = nullptr;
-    }
-
+    // Functional mode runs the hooks only (parallelFor's round-robin
+    // drain, no barrier).
     ScriptReplayStats stats;
-
-    // Fill @p bank with this core's next epoch of items. The bank target
-    // is a pure batching knob: replay order and content are the same for
-    // every value, so serial and pooled modes share it — which also makes
-    // the epoch/queue-depth stats deterministic across sim_threads. On a
-    // worker this lambda owns cs.cursor/chunk_off/gen_done exclusively
-    // (the merge thread reads them only after waitTicket) and must not
-    // touch the shared stats struct.
-    auto generate = [&gen, &hook, this, total, k,
-                     concurrent_hooks](unsigned c, ScriptBank &bank) {
-        CoreScript &cs = scripts_[c];
-        while (!cs.gen_done && bank.items.size() < kScriptEpochItems) {
-            ScriptItem item;
-            item.index = cs.cursor;
-            item.begin = static_cast<std::uint32_t>(bank.ops.size());
-            ScriptBuilder b(bank.ops);
-            gen(b, cs.cursor);
-            item.hook = b.hookOffset();
-            item.end = static_cast<std::uint32_t>(bank.ops.size());
-            bank.items.push_back(item);
-            if (concurrent_hooks)
-                hook(c, cs.cursor);
-            // Advance in StaticScheduler's static-chunk order: walk the
-            // chunk, then hop over the other cores' chunks.
-            if (++cs.chunk_off < k) {
-                ++cs.cursor;
-            } else {
-                cs.chunk_off = 0;
-                cs.cursor +=
-                    1 + static_cast<std::uint64_t>(num_cores_ - 1) * k;
+    parallelFor(
+        total,
+        [&](unsigned core, std::uint64_t i) {
+            if (!mach_) {
+                hook(core, i);
+                return;
             }
-            if (cs.cursor >= total)
-                cs.gen_done = true;
-        }
-    };
-
-    // A core is alive while it has pending items or indices left to
-    // generate — the same set whose sched.peek() is true at the
-    // equivalent point of the legacy loop, so the (core, index) replay
-    // sequence is identical to the legacy per-event call sequence. The
-    // mask MUST be computed before any ticket is primed: afterwards
-    // gen_done belongs to the worker.
-    core_clocks_.resize(num_cores_);
-    std::uint64_t alive = 0;
-    for (unsigned c = 0; c < num_cores_; ++c) {
-        core_clocks_[c] = mach_->coreNow(c);
-        if (!scripts_[c].gen_done)
-            alive |= std::uint64_t{1} << c;
-    }
-    // Prime the pipeline: every live core's first epoch goes into its
-    // back bank — on workers when pooled, so generation overlaps nothing
-    // yet but the swaps below overlap replay of the previous epoch.
-    for (std::uint64_t s = alive; s; s &= s - 1) {
-        const unsigned c = static_cast<unsigned>(std::countr_zero(s));
-        CoreScript &cs = scripts_[c];
-        ScriptBank &back = cs.banks[cs.front ^ 1];
-        if (script_pool_) {
-            cs.ticket = script_pool_->submitTicketed(
-                [&generate, c, &back] { generate(c, back); });
-        } else {
-            generate(c, back);
-        }
-    }
-
-    while (alive) {
-        // Lowest clock wins; countr_zero keeps ties on the lowest id.
-        std::uint64_t scan = alive;
-        unsigned best = static_cast<unsigned>(std::countr_zero(scan));
-        Cycles best_t = core_clocks_[best];
-        scan &= scan - 1;
-        while (scan) {
-            const unsigned c = static_cast<unsigned>(std::countr_zero(scan));
-            scan &= scan - 1;
-            if (core_clocks_[c] < best_t) {
-                best = c;
-                best_t = core_clocks_[c];
-            }
-        }
-        CoreScript &cs = scripts_[best];
-        if (cs.banks[cs.front].exhausted()) {
-            // Epoch swap: retire the drained front bank, promote the
-            // back bank, and (if indices remain) restart generation into
-            // the vacated bank. The promoted bank is never empty: the
-            // core is alive, so either a ticket was in flight or
-            // gen_done was false when the back bank was last filled, and
-            // generate() always produces at least one item.
-            if (script_pool_) {
-                if (!script_pool_->waitTicket(cs.ticket))
-                    ++stats.blocking_waits;
-                cs.ticket = nullptr;
-            }
-            cs.banks[cs.front].clear();
-            cs.front ^= 1;
-            if (!cs.gen_done) {
-                ScriptBank &back = cs.banks[cs.front ^ 1];
-                if (script_pool_) {
-                    cs.ticket = script_pool_->submitTicketed(
-                        [&generate, best, &back] { generate(best, back); });
-                } else {
-                    generate(best, back);
-                }
-            }
-            ++stats.epochs;
-            const std::uint64_t depth = cs.banks[cs.front].items.size();
-            if (depth > stats.max_queue_depth)
-                stats.max_queue_depth = depth;
-        }
-        ScriptBank &fb = cs.banks[cs.front];
-        const ScriptItem &item = fb.items[fb.head];
-        const EngineOp *ops = fb.ops.data();
-        if (concurrent_hooks) {
-            // Hook already ran at generation time: replay the item's ops
-            // as one run.
-            if (item.end > item.begin)
-                mach_->replayOps(best,
-                                 {ops + item.begin, item.end - item.begin});
-        } else {
-            if (item.hook > item.begin)
-                mach_->replayOps(best,
-                                 {ops + item.begin, item.hook - item.begin});
-            hook(best, item.index);
-            if (item.end > item.hook)
-                mach_->replayOps(best,
-                                 {ops + item.hook, item.end - item.hook});
-        }
-        ++fb.head;
-        ++stats.merged_items;
-        stats.merged_ops += item.end - item.begin;
-        core_clocks_[best] = mach_->coreNow(best);
-        // Dead only when both banks are spent: front drained, no ticket
-        // in flight, the generator out of indices, AND the back bank
-        // empty — in serial mode the final epoch is generated eagerly at
-        // the preceding swap, so gen_done can be true while the back
-        // bank still holds unreplayed items. The short-circuit order
-        // matters — gen_done and the back bank are only safe to read
-        // once the ticket is known null (cleared by a waitTicket, which
-        // publishes the worker's writes through the pool mutex).
-        if (fb.exhausted() && cs.ticket == nullptr && cs.gen_done &&
-            cs.banks[cs.front ^ 1].exhausted())
-            alive &= ~(std::uint64_t{1} << best);
-    }
-    if (concurrent_hooks)
-        stats.concurrent_hook_items = stats.merged_items;
-    mach_->accumulateReplayStats(stats);
-    finishPhase();
+            script_buf_.clear();
+            ScriptBuilder b(script_buf_);
+            gen(b, i);
+            const std::size_t at = b.hookOffset();
+            if (at > 0)
+                mach_->replayOps(core, {script_buf_.data(), at});
+            hook(core, i);
+            if (script_buf_.size() > at)
+                mach_->replayOps(core, {script_buf_.data() + at,
+                                        script_buf_.size() - at});
+            ++stats.merged_items;
+            stats.merged_ops += script_buf_.size();
+        },
+        chunk);
+    if (mach_)
+        mach_->accumulateReplayStats(stats);
 }
 
 inline bool
@@ -1100,12 +862,11 @@ Engine::edgeMapPullAll(const PropArrayBase &src_prop,
     }
 
     // Pull tasks are structurally pure: every op depends only on the
-    // graph and the property layout, so the scripts can be generated
-    // ahead of the replay (and concurrently, with sim_threads > 1). The
-    // gathers and the apply are functional-only — running them at the
-    // item hook, after the item's ops, is invisible to both streams: the
-    // legacy order emits nothing between them, and the destination store
-    // is address-only.
+    // graph and the property layout, so they run scripted. The gathers
+    // and the apply are functional-only — running them at the item hook,
+    // after the item's ops, is invisible to both streams: the legacy
+    // order emits nothing between them, and the destination store is
+    // address-only.
     auto gen_task = [&](ScriptBuilder &b, const EdgeTask &task) {
         const VertexId dst = task.u;
         if (task.first_segment) {
@@ -1146,18 +907,12 @@ Engine::edgeMapPullAll(const PropArrayBase &src_prop,
             apply(core, dst);
     };
 
-    // Main tasks: one per destination vertex, so the hooks touch
-    // disjoint accumulator slots and may run at generation time (on
-    // workers). Each destination's additions still happen in ascending
-    // edge order within its single task, so the floating-point results
-    // are bit-identical to the merge-time order.
     scriptedFor(
         tasks.size(),
         [&](ScriptBuilder &b, std::uint64_t idx) { gen_task(b, tasks[idx]); },
         [&](unsigned core, std::uint64_t idx) {
             hook_task(core, tasks[idx]);
-        },
-        /*chunk=*/0, /*concurrent_hooks=*/true);
+        });
     if (!extras.empty()) {
         mergeExtraTasks(extras);
         scriptedFor(

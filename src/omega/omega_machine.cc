@@ -136,7 +136,6 @@ void
 OmegaMachine::configure(const MachineConfig &config)
 {
     config_ = config;
-    hierarchy_.rebindSpineOwners();
 
     // Scratchpad line: all vtxProp entries of one vertex plus the dense
     // active-list bit (rounded up into one byte).

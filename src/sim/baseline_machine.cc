@@ -96,7 +96,6 @@ void
 BaselineMachine::configure(const MachineConfig &config)
 {
     config_ = config;
-    hierarchy_.rebindSpineOwners();
     last_barrier_cycles_ = global_cycles_;
     refreshWatchdog();
     if (profiler_ != nullptr)

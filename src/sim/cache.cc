@@ -151,7 +151,6 @@ CacheArray::restore(SnapshotReader &r)
 void
 CacheArray::invalidate(std::uint64_t addr)
 {
-    spine_owner_.assertOwned();
     if (CacheLine *line = probe(addr)) {
         tags_[static_cast<std::uint64_t>(line - lines_.data())] = kEmptyTag;
         *line = CacheLine{};
@@ -161,7 +160,6 @@ CacheArray::invalidate(std::uint64_t addr)
 void
 CacheArray::flush()
 {
-    spine_owner_.assertOwned();
     std::fill(lines_.begin(), lines_.end(), CacheLine{});
     std::fill(tags_.begin(), tags_.end(), kEmptyTag);
     std::fill(lru_.begin(), lru_.end(), 0);

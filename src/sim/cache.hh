@@ -30,7 +30,6 @@
 #include "sim/cache_policy.hh"
 #include "sim/params.hh"
 #include "sim/snapshot.hh"
-#include "sim/spine.hh"
 #include "util/check.hh"
 
 namespace omega {
@@ -115,7 +114,6 @@ class CacheArray
     CacheLine *
     touchHit(std::uint64_t addr)
     {
-        spine_owner_.assertOwned();
         const std::uint64_t tag = addr >> line_shift_;
         const std::uint64_t base = baseIndex(tag);
         const unsigned w = findWay(base, tag);
@@ -137,7 +135,6 @@ class CacheArray
     CacheAccessResult
     access(std::uint64_t addr)
     {
-        spine_owner_.assertOwned();
         const std::uint64_t tag = addr >> line_shift_;
         const std::uint64_t base = baseIndex(tag);
 
@@ -174,7 +171,6 @@ class CacheArray
     CacheAccessResult
     fillAfterMiss(std::uint64_t addr)
     {
-        spine_owner_.assertOwned();
         const std::uint64_t tag = addr >> line_shift_;
         const std::uint64_t base = baseIndex(tag);
         if constexpr (kInvariantChecksEnabled) {
@@ -211,12 +207,6 @@ class CacheArray
 
     /** Invalidate everything. */
     void flush();
-
-    /**
-     * Release the debug-only thread-ownership binding (sim/spine.hh) at
-     * a machine handover point. No-op in normal builds.
-     */
-    void rebindSpineOwner() { spine_owner_.rebind(); }
 
     /**
      * @name Snapshot support.
@@ -339,9 +329,6 @@ class CacheArray
     bool use_avx2_ = false;
     /** Optional insertion/promotion policy (GRASP); null = true LRU. */
     CachePolicy *policy_ = nullptr;
-    /** Shared-spine ownership tag: mutators assert the single-thread
-     *  rule the parallel engine's merge depends on (sim/spine.hh). */
-    SpineOwner spine_owner_;
     /**
      * Lookup tags, one entry per way, kEmptyTag when the way holds no
      * line. Split from lines_ so a hit scan touches a single host cache

@@ -131,23 +131,6 @@ class CacheHierarchy
     /** Invalidate all caches (between runs). */
     void flushAll();
 
-    /**
-     * Release the debug-only spine-ownership bindings of every shared
-     * component (sim/spine.hh). Machines call this from configure() —
-     * the run-handover point — so a machine constructed on one thread
-     * and driven on another (the sweep runner's pattern) re-binds to
-     * the driving thread instead of aborting. No-op in normal builds.
-     */
-    void
-    rebindSpineOwners()
-    {
-        for (CacheArray &l1 : l1_)
-            l1.rebindSpineOwner();
-        l2_.rebindSpineOwner();
-        xbar_->rebindSpineOwner();
-        dram_->rebindSpineOwner();
-    }
-
     const MachineParams &params() const { return params_; }
 
   private:

@@ -17,7 +17,6 @@
 
 #include "sim/params.hh"
 #include "sim/snapshot.hh"
-#include "sim/spine.hh"
 
 namespace omega {
 
@@ -58,7 +57,6 @@ class Crossbar
     void
     recordTransfer(std::uint32_t payload_bytes)
     {
-        spine_owner_.assertOwned();
         const std::uint32_t total = payload_bytes + header_bytes_;
         ++packets_;
         bytes_ += total;
@@ -68,7 +66,6 @@ class Crossbar
     void
     recordControl()
     {
-        spine_owner_.assertOwned();
         ++packets_;
         bytes_ += header_bytes_;
         ++flits_;
@@ -104,17 +101,12 @@ class Crossbar
 
     void reset();
 
-    /** Release the debug-only thread-ownership binding (sim/spine.hh). */
-    void rebindSpineOwner() { spine_owner_.rebind(); }
-
   private:
     Cycles faultLatencySlow(Cycles now, Cycles retransmit_cycles);
 
     Cycles one_way_;
     std::uint32_t flit_bytes_;
     std::uint32_t header_bytes_;
-    /** Shared-spine ownership tag (sim/spine.hh). */
-    SpineOwner spine_owner_;
     FaultInjector *fault_inj_ = nullptr;
     std::uint64_t bytes_ = 0;
     std::uint64_t flits_ = 0;

@@ -9,13 +9,9 @@
  * handed to the machine in one MemorySystem::replayOps() call, which
  * concrete machines override with a tight, devirtualized loop.
  *
- * EngineOps are also the unit of the deterministic intra-run parallelism
- * (DESIGN.md "Epoch-scripted parallelism"): for structurally pure phases
- * the per-core op scripts are *generated* concurrently on a thread pool,
- * then *replayed* into the single-threaded machine in the canonical
- * lowest-clock core order. Because an op's content never depends on
- * machine state or on other cores' progress, the script bytes — and
- * therefore the simulated outcome — are identical for any worker count.
+ * For structurally pure phases an item's ops are a function of the graph
+ * and the layout only (Engine::scriptedFor); DESIGN.md §12 "Serial
+ * scripted replay and the SIMD data path".
  */
 
 #ifndef OMEGA_SIM_ENGINE_OPS_HH
@@ -171,42 +167,28 @@ static_assert(sizeof(EngineOp) <= 24, "EngineOp must stay compact");
 
 /**
  * Counters of the scripted replay path (Engine::scriptedFor), accumulated
- * per machine across a run's phases. Every field except blocking_waits is
- * a pure function of (graph, layout, phase structure) — identical for
- * every sim_threads value and every thread interleaving, which
- * test_sim_threads pins by folding them into its digest.
+ * per machine across a run's phases. They count host replay work, not
+ * simulated results, and are a pure function of (graph, layout, phase
+ * structure).
  */
 struct ScriptReplayStats
 {
-    /** Epoch-bank refills across all cores (pipeline swap points). */
+    /** Always 0: scripted items replay one at a time, with no epoch
+     *  banks to refill. Kept because perfbench/ reads it. */
     std::uint64_t epochs = 0;
-    /** Script items applied through the canonical-order merge. */
+    /** Script items replayed. */
     std::uint64_t merged_items = 0;
-    /** Engine ops applied through the merge. */
+    /** Engine ops replayed. */
     std::uint64_t merged_ops = 0;
-    /** Deepest per-core item queue observed at a bank swap. */
+    /** Always 0: there is no per-core item queue. Kept because
+     *  perfbench/ reads it. */
     std::uint64_t max_queue_depth = 0;
-    /** Items whose functional hooks ran at generation time (on a worker
-     *  when sim_threads > 1) instead of at the merge. */
-    std::uint64_t concurrent_hook_items = 0;
-    /**
-     * Bank swaps that actually blocked on an unfinished generation
-     * ticket. Wall-clock-dependent: NOT deterministic across runs or
-     * thread counts, so it must never be rendered into byte-compared
-     * output (it is reported via OMEGA_PARALLEL_STATS stderr only).
-     */
-    std::uint64_t blocking_waits = 0;
 
     void
     accumulate(const ScriptReplayStats &o)
     {
-        epochs += o.epochs;
         merged_items += o.merged_items;
         merged_ops += o.merged_ops;
-        if (o.max_queue_depth > max_queue_depth)
-            max_queue_depth = o.max_queue_depth;
-        concurrent_hook_items += o.concurrent_hook_items;
-        blocking_waits += o.blocking_waits;
     }
 };
 

@@ -74,10 +74,8 @@ struct MachineConfig
 };
 
 /**
- * Abstract machine. All methods are single-threaded: every event enters
- * through the calling (merge) thread, even when the engine runs with
- * sim_threads > 1 — workers only generate scripts and run functional
- * hooks, never machine methods (DESIGN.md "Epoch-scripted parallelism").
+ * Abstract machine. All methods are single-threaded: one run's events
+ * all enter through the thread driving its engine.
  */
 class MemorySystem
 {
@@ -284,39 +282,24 @@ class MemorySystem
     /** @} */
 
   protected:
-    /**
-     * @name Replay-stats snapshot helpers (for saveState overrides).
-     * blocking_waits is wall-clock-dependent (see ScriptReplayStats), so
-     * it is neither saved nor restored — a resumed run re-accumulates its
-     * own waits, keeping byte-compared output deterministic either way.
-     * @{
-     */
+    /** @name Replay-stats snapshot helpers (for saveState overrides). @{ */
     void
     saveReplayStats(SnapshotWriter &w) const
     {
-        w.putU64(replay_stats_.epochs);
         w.putU64(replay_stats_.merged_items);
         w.putU64(replay_stats_.merged_ops);
-        w.putU64(replay_stats_.max_queue_depth);
-        w.putU64(replay_stats_.concurrent_hook_items);
     }
     void
     restoreReplayStats(SnapshotReader &r)
     {
-        replay_stats_.epochs = r.getU64();
         replay_stats_.merged_items = r.getU64();
         replay_stats_.merged_ops = r.getU64();
-        replay_stats_.max_queue_depth = r.getU64();
-        replay_stats_.concurrent_hook_items = r.getU64();
-        replay_stats_.blocking_waits = 0;
     }
     /** @} */
 
     IntervalRecorder *recorder_ = nullptr;
     /** Scripted-replay totals (deliberately NOT in the stat tree, whose
-     *  entry list is frozen by the pinned golden digests; the bench
-     *  session renders them as a separate per-run "sim_parallel"
-     *  object). */
+     *  entry list is frozen by the pinned golden digests). */
     ScriptReplayStats replay_stats_;
 };
 

@@ -2,12 +2,12 @@
  * @file
  * Per-core tile: the core-private half of a machine.
  *
- * The parallel engine's machine model splits into per-core tiles and a
- * shared spine (sim/spine.hh). A tile bundles the state only the owning
- * core's events touch: its timing model and its private counters. Both
- * machines hold a vector of tiles (OMEGA extends the tile with its
- * source-vertex buffer); everything mutated across cores — caches,
- * crossbar, DRAM, scratchpad controller — stays outside, on the spine.
+ * A machine splits into per-core tiles and a shared spine. A tile
+ * bundles the state only the owning core's events touch: its timing
+ * model and its private counters. Both machines hold a vector of tiles
+ * (OMEGA extends the tile with its source-vertex buffer); everything
+ * mutated across cores — caches, crossbar, DRAM, scratchpad controller
+ * — stays outside, on the spine.
  * The grouping is the unit a future multi-chip sharding would distribute.
  */
 

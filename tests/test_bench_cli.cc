@@ -22,7 +22,6 @@
 #include "graph/datasets.hh"
 #include "sim/checkpoint.hh"
 #include "sim/snapshot.hh"
-#include "util/thread_pool.hh"
 
 namespace omega::bench {
 namespace {
@@ -119,39 +118,6 @@ TEST(BenchCli, AcceptsValidFlags)
     EXPECT_EQ(session.faultPlan()->seed, 9u);
     EXPECT_DOUBLE_EQ(session.faultPlan()->sp_ecc_rate, 0.5);
     EXPECT_TRUE(session.faultPlan()->armed());
-}
-
-TEST(BenchCli, SimThreadsClampsToHardwareConcurrency)
-{
-    // An over-subscribed --sim-threads is clamped (with a warning) to
-    // the host's hardware concurrency: extra script-generation workers
-    // could only time-slice. Results are thread-count-invariant anyway
-    // (test_sim_threads), so clamping is a pure overhead fix.
-    std::vector<std::string> arg_strings = {"bench", "--sim-threads",
-                                            "100000"};
-    std::vector<char *> argv;
-    for (std::string &s : arg_strings)
-        argv.push_back(s.data());
-    BenchSession session("bench", static_cast<int>(argv.size()),
-                         argv.data());
-    EXPECT_EQ(session.simThreads(), ThreadPool::hardwareJobs());
-}
-
-TEST(BenchCli, SimThreadsWithinHardwareIsKept)
-{
-    std::vector<std::string> arg_strings = {"bench", "--sim-threads", "1"};
-    std::vector<char *> argv;
-    for (std::string &s : arg_strings)
-        argv.push_back(s.data());
-    BenchSession session("bench", static_cast<int>(argv.size()),
-                         argv.data());
-    EXPECT_EQ(session.simThreads(), 1u);
-}
-
-TEST(BenchCliDeathTest, RejectsZeroSimThreads)
-{
-    EXPECT_EXIT(makeSession({"--sim-threads", "0"}),
-                ::testing::ExitedWithCode(2), "thread count");
 }
 
 TEST(BenchCli, NoFaultsFlagMeansNoPlan)

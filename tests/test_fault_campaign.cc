@@ -184,7 +184,7 @@ TEST(FaultCampaign, ArmedResumeReproducesUninterruptedDigest)
     // A checkpoint taken mid-campaign carries the injector's xorshift
     // stream, escalation counters and running trace digest; the resumed
     // run must fire the exact remaining fault sequence. Checked over
-    // both machine families and sim_threads {1, 8}.
+    // both machine families.
     const Graph g = campaignGraph().materialize();
     const FaultPlan plan = transientPlan();
     const std::string path =
@@ -197,37 +197,31 @@ TEST(FaultCampaign, ArmedResumeReproducesUninterruptedDigest)
                                     ref_opts);
         const std::uint64_t uninterrupted = armedDigest(*ref);
 
-        for (const unsigned threads : {1u, 8u}) {
-            const std::string key = "armed/" + ref->name();
-            CheckpointCoordinator coord;
-            coord.configureSave(path, /*every=*/0);
-            coord.test_stop = [](std::uint64_t it) { return it == 2; };
-            coord.beginRun(key);
-            {
-                auto m = makeMachine(which);
-                m->armFaults(plan);
-                EngineOptions opts;
-                opts.sim_threads = threads;
-                opts.checkpoint = &coord;
-                EXPECT_THROW(runAlgorithmOnMachine(AlgorithmKind::BFS, g,
-                                                   m.get(), opts),
-                             CheckpointInterrupt);
-            }
-            CheckpointCoordinator resume;
-            resume.setResumePayload(readSnapshotFile(path));
-            resume.beginRun(key);
+        const std::string key = "armed/" + ref->name();
+        CheckpointCoordinator coord;
+        coord.configureSave(path, /*every=*/0);
+        coord.test_stop = [](std::uint64_t it) { return it == 2; };
+        coord.beginRun(key);
+        {
             auto m = makeMachine(which);
             m->armFaults(plan);
             EngineOptions opts;
-            opts.sim_threads = threads;
-            opts.checkpoint = &resume;
-            (void)runAlgorithmOnMachine(AlgorithmKind::BFS, g, m.get(),
-                                        opts);
-            EXPECT_FALSE(resume.resumePending());
-            EXPECT_EQ(armedDigest(*m), uninterrupted)
-                << m->name() << " armed resume diverged at sim_threads="
-                << threads;
+            opts.checkpoint = &coord;
+            EXPECT_THROW(runAlgorithmOnMachine(AlgorithmKind::BFS, g,
+                                               m.get(), opts),
+                         CheckpointInterrupt);
         }
+        CheckpointCoordinator resume;
+        resume.setResumePayload(readSnapshotFile(path));
+        resume.beginRun(key);
+        auto m = makeMachine(which);
+        m->armFaults(plan);
+        EngineOptions opts;
+        opts.checkpoint = &resume;
+        (void)runAlgorithmOnMachine(AlgorithmKind::BFS, g, m.get(), opts);
+        EXPECT_FALSE(resume.resumePending());
+        EXPECT_EQ(armedDigest(*m), uninterrupted)
+            << m->name() << " armed resume diverged";
     }
     std::remove(path.c_str());
 }

@@ -189,12 +189,17 @@ TEST(SnapshotFile, BadMagicIsFormatError)
 
 TEST(SnapshotFile, VersionBumpIsVersionError)
 {
-    const std::string path = writeSampleFile("badversion.snap");
-    auto bytes = slurpBytes(path);
-    bytes[8] = static_cast<char>(kSnapshotVersion + 1); // version u32 at 8
-    spewBytes(path, bytes);
-    EXPECT_THROW(readSnapshotFile(path), SnapshotVersionError);
-    std::remove(path.c_str());
+    // Version 1 files carry the removed intra-run pipeline's replay
+    // counters in the machine section: refused, never misparsed.
+    for (const std::uint32_t version : {kSnapshotVersion + 1, 1u}) {
+        const std::string path = writeSampleFile("badversion.snap");
+        auto bytes = slurpBytes(path);
+        bytes[8] = static_cast<char>(version); // version u32 at 8
+        spewBytes(path, bytes);
+        EXPECT_THROW(readSnapshotFile(path), SnapshotVersionError)
+            << "version " << version;
+        std::remove(path.c_str());
+    }
 }
 
 TEST(SnapshotFile, TruncationIsTruncatedError)
@@ -269,9 +274,8 @@ fnv1a(const std::string &bytes)
     return h;
 }
 
-/** Digest of the run's full simulated outcome (same fields the
- *  sim-threads invariance tests pin: cycles, the complete stat tree,
- *  and the deterministic replay counters). */
+/** Digest of the run's full simulated outcome (cycles and the complete
+ *  stat tree) plus the replay counters the snapshot carries. */
 std::uint64_t
 machineDigest(const MemorySystem &m)
 {
@@ -285,19 +289,16 @@ machineDigest(const MemorySystem &m)
         EXPECT_TRUE(w.complete());
     }
     const ScriptReplayStats &rs = m.replayStats();
-    os << '|' << rs.epochs << '|' << rs.merged_items << '|'
-       << rs.merged_ops << '|' << rs.max_queue_depth << '|'
-       << rs.concurrent_hook_items;
+    os << '|' << rs.merged_items << '|' << rs.merged_ops;
     return fnv1a(os.str());
 }
 
 void
 runAlgo(AlgorithmKind algo, const Graph &g, MemorySystem *m,
-        CheckpointCoordinator *coord, unsigned sim_threads = 1)
+        CheckpointCoordinator *coord)
 {
     EngineOptions opts;
     opts.checkpoint = coord;
-    opts.sim_threads = sim_threads;
     if (algo == AlgorithmKind::PageRank) {
         // Multiple iterations so an interrupt can land strictly inside
         // the run (the registry dispatch simulates a single iteration).
@@ -322,8 +323,7 @@ makeMachine(const std::string &name)
  */
 std::uint64_t
 interruptAndResumeDigest(const Graph &g, const std::string &machine,
-                         AlgorithmKind algo, std::uint64_t stop,
-                         unsigned sim_threads = 1)
+                         AlgorithmKind algo, std::uint64_t stop)
 {
     const std::string path = ::testing::TempDir() + "resume_" + machine +
                              "_" + std::to_string(stop) + ".snap";
@@ -335,7 +335,7 @@ interruptAndResumeDigest(const Graph &g, const std::string &machine,
     coord.beginRun(key);
     {
         auto m = makeMachine(machine);
-        EXPECT_THROW(runAlgo(algo, g, m.get(), &coord, sim_threads),
+        EXPECT_THROW(runAlgo(algo, g, m.get(), &coord),
                      CheckpointInterrupt);
     }
 
@@ -345,7 +345,7 @@ interruptAndResumeDigest(const Graph &g, const std::string &machine,
     EXPECT_EQ(resume.resumeRunKey(), key);
     resume.beginRun(key);
     auto m = makeMachine(machine);
-    runAlgo(algo, g, m.get(), &resume, sim_threads);
+    runAlgo(algo, g, m.get(), &resume);
     EXPECT_FALSE(resume.resumePending()) << "resume never consumed";
     EXPECT_EQ(resume.restoredIteration(), stop);
     std::remove(path.c_str());
