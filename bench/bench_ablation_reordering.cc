@@ -13,7 +13,6 @@
 
 #include "bench_common.hh"
 #include "graph/reorder.hh"
-#include "sim/baseline_machine.hh"
 #include "util/table.hh"
 
 using namespace omega;
@@ -44,10 +43,13 @@ main(int argc, char **argv)
              "top-20% prefix coverage"});
     for (ReorderKind kind : kinds) {
         Graph g = reorderGraph(natural, kind);
-        BaselineMachine m(machineFor(MachineKind::Baseline, spec));
-        const Cycles c =
-            runAlgorithmOnMachine(AlgorithmKind::PageRank, g, &m);
-        const double hit = m.report().l2HitRate();
+        const RunOutcome out = runOn(
+            spec, "PageRank " + reorderKindName(kind), MachineKind::Baseline,
+            {}, [&](CmpMachine &m) {
+                runAlgorithmOnMachine(AlgorithmKind::PageRank, g, &m);
+            });
+        const Cycles c = out.cycles;
+        const double hit = out.stats.l2HitRate();
         if (kind == ReorderKind::Identity) {
             base_cycles = c;
             base_hit = hit;

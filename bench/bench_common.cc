@@ -184,6 +184,20 @@ writeDerivedJson(JsonWriter &w, const RunOutcome &out)
     w.endObject();
 }
 
+/** Drives one run's simulation on a freshly built machine. */
+using RunBody = std::function<Cycles(CmpMachine &, const EngineOptions &)>;
+
+/** The run body of one registry algorithm on a dataset's canonical
+ *  graph. */
+RunBody
+algorithmBody(const DatasetSpec &spec, AlgorithmKind algo)
+{
+    const Graph &g = datasetGraph(spec);
+    return [&g, algo](CmpMachine &m, const EngineOptions &opts) {
+        return runAlgorithmOnMachine(algo, g, &m, opts);
+    };
+}
+
 /**
  * Full identity of a run: everything the simulation outcome depends on.
  * Post-tweak parameters are serialized so two tweaks producing the same
@@ -242,7 +256,7 @@ decodeJournaledRun(SnapshotReader &r, const MachineParams &params,
 }
 
 /**
- * Build the machine and run the algorithm, capturing every observability
+ * Build the machine and run @p body on it, capturing every observability
  * artifact into the returned value. Thread-safe: all state is per-run,
  * and the trace sink is installed thread-locally for the duration.
  *
@@ -253,21 +267,15 @@ decodeJournaledRun(SnapshotReader &r, const MachineParams &params,
  *        registry is never shared across threads.
  */
 CompletedRun
-executeRun(const DatasetSpec &spec, AlgorithmKind algo, MachineKind kind,
-           const std::function<void(MachineParams &)> &tweak, bool want_json,
-           bool want_trace, Cycles interval_cycles,
-           const FaultPlan *faults, bool want_profile,
-           const std::string &key = {},
+executeRun(const MachineParams &params, MachineKind kind,
+           const RunBody &body, bool want_json, bool want_trace,
+           Cycles interval_cycles, const FaultPlan *faults,
+           bool want_profile, const std::string &key = {},
            CheckpointCoordinator *coord = nullptr)
 {
-    const Graph &g = datasetGraph(spec);
-    MachineParams params = machineFor(kind, spec);
-    if (tweak)
-        tweak(params);
-
     CompletedRun run;
     run.outcome.params = params;
-    std::unique_ptr<MemorySystem> m = registryEntryFor(kind).make(params);
+    std::unique_ptr<CmpMachine> m = registryEntryFor(kind).make(params);
     if (faults != nullptr)
         m->armFaults(*faults);
     if (want_profile)
@@ -299,7 +307,7 @@ executeRun(const DatasetSpec &spec, AlgorithmKind algo, MachineKind kind,
     EngineOptions opts;
     opts.checkpoint = coord;
     try {
-        run.outcome.cycles = runAlgorithmOnMachine(algo, g, m.get(), opts);
+        run.outcome.cycles = body(*m, opts);
     } catch (const WatchdogError &e) {
         // The machine dies with this scope, so the post-mortem artifacts
         // must be composed here: merge the run's buffered trace events
@@ -390,11 +398,11 @@ runOn(const DatasetSpec &spec, AlgorithmKind algo, MachineKind kind,
     BenchSession *session = BenchSession::active();
     const bool observe = session != nullptr && session->observing();
 
+    MachineParams params = machineFor(kind, spec);
+    if (tweak)
+        tweak(params);
     std::string key;
     if (session != nullptr) {
-        MachineParams params = machineFor(kind, spec);
-        if (tweak)
-            tweak(params);
         key = runKey(spec, algo, kind, params);
         const CompletedRun *pre = session->findPrewarmed(key);
         if (pre != nullptr) {
@@ -454,8 +462,8 @@ runOn(const DatasetSpec &spec, AlgorithmKind algo, MachineKind kind,
     }
     CompletedRun run;
     try {
-        run = executeRun(spec, algo, kind, tweak, want_json, want_trace,
-                         observe ? session->intervalCycles() : 0,
+        run = executeRun(params, kind, algorithmBody(spec, algo), want_json,
+                         want_trace, observe ? session->intervalCycles() : 0,
                          session != nullptr ? session->faultPlan()
                                             : nullptr,
                          want_profile, key, coord);
@@ -476,6 +484,40 @@ runOn(const DatasetSpec &spec, AlgorithmKind algo, MachineKind kind,
     if (observe)
         session->recordCompleted(spec.name, algorithmName(algo),
                                  machineKindName(kind), run);
+    return run.outcome;
+}
+
+RunOutcome
+runOn(const DatasetSpec &spec, const std::string &algorithm,
+      MachineKind kind, const std::function<void(MachineParams &)> &tweak,
+      const std::function<void(CmpMachine &)> &body)
+{
+    BenchSession *session = BenchSession::active();
+    const bool observe = session != nullptr && session->observing();
+    MachineParams params = machineFor(kind, spec);
+    if (tweak)
+        tweak(params);
+    CompletedRun run;
+    try {
+        run = executeRun(
+            params, kind,
+            [&body](CmpMachine &m, const EngineOptions &) {
+                body(m);
+                return m.cycles();
+            },
+            observe && session->jsonEnabled(),
+            observe && session->traceEnabled(),
+            observe ? session->intervalCycles() : 0,
+            session != nullptr ? session->faultPlan() : nullptr,
+            observe && session->profileEnabled());
+    } catch (const WatchdogError &e) {
+        if (session != nullptr)
+            session->abortSession(e.what()); // flushes partial JSON, exits
+        throw;
+    }
+    if (observe)
+        session->recordCompleted(spec.name, algorithm, machineKindName(kind),
+                                 run);
     return run.outcome;
 }
 
@@ -969,7 +1011,7 @@ SweepRunner::add(const DatasetSpec &spec, AlgorithmKind algo,
         if (p.key == key)
             return;
     }
-    planned_.push_back(PlannedRun{spec, algo, kind, tweak, std::move(key)});
+    planned_.push_back(PlannedRun{spec, algo, kind, params, std::move(key)});
 }
 
 void
@@ -1005,8 +1047,9 @@ SweepRunner::run()
             return;
         const PlannedRun &p = planned_[i];
         try {
-            results[i] = executeRun(p.spec, p.algo, p.kind, p.tweak,
-                                    want_json, want_trace, interval, faults,
+            results[i] = executeRun(p.params, p.kind,
+                                    algorithmBody(p.spec, p.algo), want_json,
+                                    want_trace, interval, faults,
                                     want_profile);
             if (session->checkpointing())
                 session->journalCompleted(p.key, results[i]);

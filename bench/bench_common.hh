@@ -22,6 +22,7 @@
 #include "algorithms/algorithms.hh"
 #include "graph/datasets.hh"
 #include "sim/checkpoint.hh"
+#include "sim/cmp_machine.hh"
 #include "sim/fault.hh"
 #include "sim/interval_stats.hh"
 #include "sim/memory_system.hh"
@@ -81,6 +82,30 @@ MachineParams machineFor(MachineKind kind, const DatasetSpec &spec);
 RunOutcome runOn(const DatasetSpec &spec, AlgorithmKind algo,
                  MachineKind kind,
                  const std::function<void(MachineParams &)> &tweak = {});
+
+/**
+ * Run a custom simulation body on a registry-built machine and record it
+ * like any other run: for runs that are not one registry algorithm on
+ * the dataset's canonical graph (another vertex ordering, a churned
+ * graph, pull or sliced PageRank, resized scratchpads).
+ *
+ * @param spec dataset (capacities scale with it; labels the run).
+ * @param algorithm the run's algorithm label.
+ * @param kind machine flavor.
+ * @param tweak parameter mutator applied before construction (may be
+ *        empty).
+ * @param body drives the simulation; the outcome's cycles are the
+ *        machine's cycles() once it returns.
+ *
+ * Observability (--json, --trace, --interval, --faults, --profile)
+ * applies as for the algorithm overload, but the run is neither
+ * memoized for SweepRunner nor checkpointed: a resumed session
+ * simulates it again.
+ */
+RunOutcome runOn(const DatasetSpec &spec, const std::string &algorithm,
+                 MachineKind kind,
+                 const std::function<void(MachineParams &)> &tweak,
+                 const std::function<void(CmpMachine &)> &body);
 
 /** Datasets compatible with @p algo (symmetry requirement). */
 std::vector<DatasetSpec> datasetsFor(AlgorithmKind algo,
@@ -335,7 +360,8 @@ class SweepRunner
         DatasetSpec spec;
         AlgorithmKind algo;
         MachineKind kind;
-        std::function<void(MachineParams &)> tweak;
+        /** Post-tweak parameters. */
+        MachineParams params;
         std::string key;
     };
 

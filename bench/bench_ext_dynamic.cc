@@ -14,8 +14,6 @@
 #include "graph/dynamic.hh"
 #include "graph/generators.hh"
 #include "graph/reorder.hh"
-#include "omega/omega_machine.hh"
-#include "sim/baseline_machine.hh"
 #include "util/table.hh"
 
 using namespace omega;
@@ -30,13 +28,15 @@ struct StateResult
 };
 
 StateResult
-runState(const Graph &g, const DatasetSpec &spec)
+runState(const Graph &g, const DatasetSpec &spec, const std::string &state)
 {
-    BaselineMachine base(machineFor(MachineKind::Baseline, spec));
-    OmegaMachine om(machineFor(MachineKind::Omega, spec));
+    const auto pagerank = [&g](CmpMachine &m) {
+        runAlgorithmOnMachine(AlgorithmKind::PageRank, g, &m);
+    };
+    const std::string label = "PageRank " + state;
     StateResult r;
-    r.base = runAlgorithmOnMachine(AlgorithmKind::PageRank, g, &base);
-    r.omega = runAlgorithmOnMachine(AlgorithmKind::PageRank, g, &om);
+    r.base = runOn(spec, label, MachineKind::Baseline, {}, pagerank).cycles;
+    r.omega = runOn(spec, label, MachineKind::Omega, {}, pagerank).cycles;
     return r;
 }
 
@@ -59,7 +59,7 @@ main(int argc, char **argv)
              "baseline cycles", "omega cycles", "speedup"});
     auto add = [&](const char *state, const Graph &g,
                    std::uint64_t arcs) {
-        const StateResult r = runState(g, spec);
+        const StateResult r = runState(g, spec, state);
         t.row()
             .cell(state)
             .cell(arcs)

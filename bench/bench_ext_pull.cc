@@ -14,41 +14,10 @@
 
 #include "algorithms/pagerank.hh"
 #include "bench_common.hh"
-#include "omega/omega_machine.hh"
-#include "sim/baseline_machine.hh"
 #include "util/table.hh"
 
 using namespace omega;
 using namespace omega::bench;
-
-namespace {
-
-struct Row
-{
-    Cycles cycles;
-    StatsReport stats;
-};
-
-template <typename RunF>
-Row
-measure(const DatasetSpec &spec, MachineKind kind, RunF &&run)
-{
-    Row row;
-    if (kind == MachineKind::Baseline) {
-        BaselineMachine m(machineFor(kind, spec));
-        run(&m);
-        row.cycles = m.cycles();
-        row.stats = m.report();
-    } else {
-        OmegaMachine m(machineFor(kind, spec));
-        run(&m);
-        row.cycles = m.cycles();
-        row.stats = m.report();
-    }
-    return row;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -63,18 +32,18 @@ main(int argc, char **argv)
         const DatasetSpec spec = *findDataset(ds);
         const Graph &g = datasetGraph(spec);
 
-        const Row push_b =
-            measure(spec, MachineKind::Baseline,
-                    [&](MemorySystem *m) { runPageRank(g, m, 1); });
-        const Row push_o =
-            measure(spec, MachineKind::Omega,
-                    [&](MemorySystem *m) { runPageRank(g, m, 1); });
-        const Row pull_b =
-            measure(spec, MachineKind::Baseline,
-                    [&](MemorySystem *m) { runPageRankPull(g, m, 1); });
-        const Row pull_o =
-            measure(spec, MachineKind::Omega,
-                    [&](MemorySystem *m) { runPageRankPull(g, m, 1); });
+        const auto push = [&](CmpMachine &m) { runPageRank(g, &m, 1); };
+        const auto pull = [&](CmpMachine &m) {
+            runPageRankPull(g, &m, 1);
+        };
+        const RunOutcome push_b =
+            runOn(spec, "PageRank push", MachineKind::Baseline, {}, push);
+        const RunOutcome push_o =
+            runOn(spec, "PageRank push", MachineKind::Omega, {}, push);
+        const RunOutcome pull_b =
+            runOn(spec, "PageRank pull", MachineKind::Baseline, {}, pull);
+        const RunOutcome pull_o =
+            runOn(spec, "PageRank pull", MachineKind::Omega, {}, pull);
 
         t.row()
             .cell(spec.name)

@@ -13,8 +13,6 @@
 #include "bench_common.hh"
 #include "graph/reorder.hh"
 #include "graph/slicing.hh"
-#include "omega/omega_machine.hh"
-#include "sim/baseline_machine.hh"
 #include "util/table.hh"
 
 using namespace omega;
@@ -33,41 +31,53 @@ main(int argc, char **argv)
                                  ReorderKind::InDegreeSort);
 
     // Shrink the scratchpads so even the hot 20% does not fit.
+    const auto shrink = [](MachineParams &p) {
+        p.sp_total_bytes =
+            std::max<std::uint64_t>(p.sp_total_bytes / 4, 8192);
+    };
     MachineParams op = machineFor(MachineKind::Omega, spec);
-    op.sp_total_bytes = std::max<std::uint64_t>(op.sp_total_bytes / 4, 8192);
+    shrink(op);
     const std::uint32_t line_bytes = 9; // 8 B rank + active bit
 
-    BaselineMachine base(machineFor(MachineKind::Baseline, spec));
     const Cycles base_cycles =
-        runAlgorithmOnMachine(AlgorithmKind::PageRank, g, &base);
+        runOn(spec, "PageRank", MachineKind::Baseline, {},
+              [&](CmpMachine &m) {
+                  runAlgorithmOnMachine(AlgorithmKind::PageRank, g, &m);
+              })
+            .cycles;
 
     Table t({"configuration", "slices", "omega cycles", "speedup"});
 
     // No slicing: whatever fits, fits.
     {
-        OmegaMachine m(op);
-        const auto pr = runPageRank(g, &m, 1);
+        const Cycles c =
+            runOn(spec, "PageRank", MachineKind::Omega, shrink,
+                  [&](CmpMachine &m) { runPageRank(g, &m, 1); })
+                .cycles;
         t.row()
             .cell("no slicing")
             .cell(std::uint64_t(1))
-            .cell(m.cycles())
+            .cell(c)
             .cell(formatSpeedup(static_cast<double>(base_cycles) /
-                                static_cast<double>(m.cycles())));
+                                static_cast<double>(c)));
     }
     for (const SlicingPolicy policy :
          {SlicingPolicy::FitAllVtxProp, SlicingPolicy::FitHotVtxProp}) {
         const SlicingPlan plan =
             planSlices(g, op.sp_total_bytes, line_bytes, policy);
-        OmegaMachine m(op);
-        const auto pr = runPageRankSliced(g, &m, plan, 1);
+        const bool all = policy == SlicingPolicy::FitAllVtxProp;
+        const Cycles c =
+            runOn(spec, all ? "PageRank sliced-all" : "PageRank sliced-hot",
+                  MachineKind::Omega, shrink,
+                  [&](CmpMachine &m) { runPageRankSliced(g, &m, plan, 1); })
+                .cycles;
         t.row()
-            .cell(policy == SlicingPolicy::FitAllVtxProp
-                      ? "slice: fit ALL vtxProp (approach 2)"
+            .cell(all ? "slice: fit ALL vtxProp (approach 2)"
                       : "slice: fit HOT vtxProp (approach 3)")
             .cell(std::uint64_t(plan.numSlices()))
-            .cell(m.cycles())
+            .cell(c)
             .cell(formatSpeedup(static_cast<double>(base_cycles) /
-                                static_cast<double>(m.cycles())));
+                                static_cast<double>(c)));
     }
     t.print(std::cout);
 

@@ -12,8 +12,6 @@
 
 #include "bench_common.hh"
 #include "graph/reorder.hh"
-#include "omega/omega_machine.hh"
-#include "sim/baseline_machine.hh"
 #include "util/table.hh"
 
 using namespace omega;
@@ -38,22 +36,33 @@ main(int argc, char **argv)
 
     for (AlgorithmKind algo :
          {AlgorithmKind::PageRank, AlgorithmKind::BFS}) {
-        BaselineMachine base_machine(
-            machineFor(MachineKind::Baseline, spec));
+        const auto run = [&](CmpMachine &m) {
+            runAlgorithmOnMachine(algo, g, &m);
+        };
         const Cycles base_cycles =
-            runAlgorithmOnMachine(algo, g, &base_machine);
+            runOn(spec, algorithmName(algo), MachineKind::Baseline, {}, run)
+                .cycles;
         for (const double mb : {16.0, 8.0, 4.0}) {
-            MachineParams params = machineFor(MachineKind::Omega, spec);
             // Shrink only the scratchpads; L2 stays as configured.
-            params.sp_total_bytes = static_cast<std::uint64_t>(
-                mb * 1024 * 1024 * spec.capacity_scale);
-            params.sp_total_bytes =
-                std::max<std::uint64_t>(params.sp_total_bytes, 8192);
-            OmegaMachine om(params);
+            const auto resize = [&](MachineParams &p) {
+                p.sp_total_bytes = std::max<std::uint64_t>(
+                    static_cast<std::uint64_t>(mb * 1024 * 1024 *
+                                               spec.capacity_scale),
+                    8192);
+            };
+            VertexId resident = 0;
             const Cycles omega_cycles =
-                runAlgorithmOnMachine(algo, g, &om);
+                runOn(spec,
+                      algorithmName(algo) + " sp=" + formatDouble(mb, 0) +
+                          "MB",
+                      MachineKind::Omega, resize,
+                      [&](CmpMachine &m) {
+                          run(m);
+                          resident = m.residentVertices();
+                      })
+                    .cycles;
             const double resident_pct =
-                100.0 * om.residentVertices() / g.numVertices();
+                100.0 * resident / g.numVertices();
             t.row()
                 .cell(formatDouble(mb, 0) + "MB")
                 .cell(algorithmName(algo) + " (" +

@@ -15,9 +15,9 @@
 #include "omega/pisc.hh"
 #include "omega/scratchpad_controller.hh"
 #include "omega/source_vertex_buffer.hh"
-#include "sim/baseline_machine.hh"
 #include "sim/cache.hh"
 #include "sim/coherence.hh"
+#include "sim/machine_registry.hh"
 #include "util/rng.hh"
 
 namespace {
@@ -162,11 +162,11 @@ BM_SimulatedPageRankIteration(benchmark::State &state)
     Rng rng(8);
     Graph g = reorderGraph(buildGraph(1 << 12, generateRmat(12, 8, rng)),
                            ReorderKind::InDegreeNthElement);
+    const MachineRegistryEntry &entry = machineEntry("baseline");
     for (auto _ : state) {
-        BaselineMachine m(
-            MachineParams::baseline().scaledCapacities(1.0 / 64));
-        runAlgorithmOnMachine(AlgorithmKind::PageRank, g, &m);
-        benchmark::DoNotOptimize(m.cycles());
+        auto m = entry.make(entry.make_params().scaledCapacities(1.0 / 64));
+        runAlgorithmOnMachine(AlgorithmKind::PageRank, g, m.get());
+        benchmark::DoNotOptimize(m->cycles());
     }
     state.SetItemsProcessed(state.iterations() * g.numArcs());
 }

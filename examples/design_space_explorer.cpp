@@ -16,8 +16,7 @@
 #include "graph/datasets.hh"
 #include "graph/reorder.hh"
 #include "model/energy_model.hh"
-#include "omega/omega_machine.hh"
-#include "sim/baseline_machine.hh"
+#include "sim/machine_registry.hh"
 #include "util/table.hh"
 
 using namespace omega;
@@ -50,11 +49,11 @@ main(int argc, char **argv)
     // Baseline reference.
     const MachineParams base_params =
         MachineParams::baseline().scaledCapacities(spec->capacity_scale);
-    BaselineMachine base(base_params);
+    const auto base = machineEntry("baseline").make(base_params);
     const Cycles base_cycles =
-        runAlgorithmOnMachine(AlgorithmKind::PageRank, g, &base);
+        runAlgorithmOnMachine(AlgorithmKind::PageRank, g, base.get());
     const auto base_energy =
-        computeMemoryEnergy(base.report(), base_params);
+        computeMemoryEnergy(base->report(), base_params);
 
     const std::vector<Design> designs{
         {"paper design point", [](MachineParams &) {}},
@@ -80,10 +79,10 @@ main(int argc, char **argv)
         MachineParams params =
             MachineParams::omega().scaledCapacities(spec->capacity_scale);
         d.tweak(params);
-        OmegaMachine m(params);
+        const auto m = machineEntry("omega").make(params);
         const Cycles c =
-            runAlgorithmOnMachine(AlgorithmKind::PageRank, g, &m);
-        const StatsReport r = m.report();
+            runAlgorithmOnMachine(AlgorithmKind::PageRank, g, m.get());
+        const StatsReport r = m->report();
         const auto energy = computeMemoryEnergy(r, params);
         t.row()
             .cell(d.name)

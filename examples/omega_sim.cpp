@@ -23,8 +23,7 @@
 #include "graph/degree_stats.hh"
 #include "graph/io.hh"
 #include "graph/reorder.hh"
-#include "omega/omega_machine.hh"
-#include "sim/baseline_machine.hh"
+#include "sim/machine_registry.hh"
 #include "util/logging.hh"
 #include "util/string_utils.hh"
 #include "util/table.hh"
@@ -95,18 +94,12 @@ runOnMachine(const std::string &kind, AlgorithmKind algo, const Graph &g,
              const MachineParams &omega_params, bool dump)
 {
     RunResult out;
-    if (kind == "baseline") {
-        BaselineMachine m(base_params);
-        out.cycles = runAlgorithmOnMachine(algo, g, &m);
-        out.stats = m.report();
-    } else {
-        MachineParams p = omega_params;
-        if (kind == "sp-only")
-            p.pisc_enabled = false;
-        OmegaMachine m(p);
-        out.cycles = runAlgorithmOnMachine(algo, g, &m);
-        out.stats = m.report();
-    }
+    MachineParams p = kind == "baseline" ? base_params : omega_params;
+    if (kind == "sp-only")
+        p.pisc_enabled = false;
+    auto m = machineEntry(kind == "sp-only" ? "omega-sp-only" : kind).make(p);
+    out.cycles = runAlgorithmOnMachine(algo, g, m.get());
+    out.stats = m->report();
     if (dump)
         out.stats.dump(std::cout, kind);
     return out;

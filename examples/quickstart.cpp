@@ -15,8 +15,7 @@
 #include "graph/degree_stats.hh"
 #include "graph/generators.hh"
 #include "graph/reorder.hh"
-#include "omega/omega_machine.hh"
-#include "sim/baseline_machine.hh"
+#include "sim/cmp_machine.hh"
 #include "util/table.hh"
 
 using namespace omega;
@@ -41,10 +40,12 @@ main()
     // 3. Machines: Table III baseline and OMEGA, capacities scaled to the
     //    same ratio as the scaled-down graph.
     const double scale = 1.0 / 64.0;
-    BaselineMachine baseline(
-        MachineParams::baseline().scaledCapacities(scale));
-    OmegaMachine omega_machine(
-        MachineParams::omega().scaledCapacities(scale));
+    //    The OMEGA parameters give the machine scratchpad capacity, which
+    //    attaches the near-memory unit (scratchpads, PISCs, SVBs).
+    CmpMachine baseline(MachineParams::baseline().scaledCapacities(scale),
+                        "baseline");
+    CmpMachine omega_machine(MachineParams::omega().scaledCapacities(scale),
+                             "omega");
 
     // 4. Run one PageRank iteration on each (the paper's configuration).
     PageRankResult on_base = runPageRank(g, &baseline, 1);

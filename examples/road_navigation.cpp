@@ -18,8 +18,7 @@
 #include "graph/degree_stats.hh"
 #include "graph/generators.hh"
 #include "graph/reorder.hh"
-#include "omega/omega_machine.hh"
-#include "sim/baseline_machine.hh"
+#include "sim/cmp_machine.hh"
 #include "util/table.hh"
 
 using namespace omega;
@@ -69,9 +68,10 @@ main(int argc, char **argv)
     Table t({"analysis", "baseline cycles", "omega cycles", "speedup"});
     for (AlgorithmKind kind :
          {AlgorithmKind::SSSP, AlgorithmKind::Radii, AlgorithmKind::BFS}) {
-        BaselineMachine base(
-            MachineParams::baseline().scaledCapacities(scale));
-        OmegaMachine om(MachineParams::omega().scaledCapacities(scale));
+        CmpMachine base(MachineParams::baseline().scaledCapacities(scale),
+                        "baseline");
+        CmpMachine om(MachineParams::omega().scaledCapacities(scale),
+                      "omega");
         const Cycles cb = runAlgorithmOnMachine(kind, g, &base);
         const Cycles co = runAlgorithmOnMachine(kind, g, &om);
         t.row()

@@ -20,8 +20,7 @@
 #include "graph/degree_stats.hh"
 #include "graph/generators.hh"
 #include "graph/reorder.hh"
-#include "omega/omega_machine.hh"
-#include "sim/baseline_machine.hh"
+#include "sim/cmp_machine.hh"
 #include "util/table.hh"
 
 using namespace omega;
@@ -51,9 +50,10 @@ main(int argc, char **argv)
 
     auto compare = [&](const std::string &name, AlgorithmKind kind,
                        const std::string &result) {
-        BaselineMachine base(
-            MachineParams::baseline().scaledCapacities(scale));
-        OmegaMachine om(MachineParams::omega().scaledCapacities(scale));
+        CmpMachine base(MachineParams::baseline().scaledCapacities(scale),
+                        "baseline");
+        CmpMachine om(MachineParams::omega().scaledCapacities(scale),
+                      "omega");
         const Cycles cb = runAlgorithmOnMachine(kind, g, &base);
         const Cycles co = runAlgorithmOnMachine(kind, g, &om);
         t.row().cell(name).cell(result).cell(cb).cell(co).cell(

@@ -8,7 +8,9 @@
 #include <algorithm>
 
 #include "sim/memory_system.hh"
+#include "sim/snapshot.hh"
 #include "util/logging.hh"
+#include "util/stats.hh"
 
 namespace omega {
 
@@ -114,6 +116,57 @@ GraspPolicy::promoteOnHit(std::uint64_t line_addr)
     }
     ++stats_.promoted_hits;
     return true;
+}
+
+void
+GraspPolicy::configure(const MachineConfig &config)
+{
+    setRegions(regionsFromConfig(config, kWarmFactor));
+}
+
+void
+GraspPolicy::addStats(StatGroup &group) const
+{
+    // With no regions installed yet every line classifies as Other; the
+    // counters registered here live in this object, which never moves.
+    group.addScalar("hot_inserts", &stats_.hot_inserts,
+                    "LLC fills from hot property ranges");
+    group.addScalar("warm_inserts", &stats_.warm_inserts,
+                    "LLC fills from warm property ranges");
+    group.addScalar("cold_inserts", &stats_.cold_inserts,
+                    "LLC fills from cold property ranges");
+    group.addScalar("other_inserts", &stats_.other_inserts,
+                    "LLC fills outside monitored ranges");
+    group.addScalar("distant_inserts", &stats_.distant_inserts,
+                    "LLC fills at distant-reuse priority");
+    group.addScalar("promoted_hits", &stats_.promoted_hits,
+                    "LLC hits promoted to MRU");
+    group.addScalar("unpromoted_hits", &stats_.unpromoted_hits,
+                    "LLC hits left at their priority");
+}
+
+void
+GraspPolicy::save(SnapshotWriter &w) const
+{
+    w.putU64(stats_.hot_inserts);
+    w.putU64(stats_.warm_inserts);
+    w.putU64(stats_.cold_inserts);
+    w.putU64(stats_.other_inserts);
+    w.putU64(stats_.distant_inserts);
+    w.putU64(stats_.promoted_hits);
+    w.putU64(stats_.unpromoted_hits);
+}
+
+void
+GraspPolicy::restore(SnapshotReader &r)
+{
+    stats_.hot_inserts = r.getU64();
+    stats_.warm_inserts = r.getU64();
+    stats_.cold_inserts = r.getU64();
+    stats_.other_inserts = r.getU64();
+    stats_.distant_inserts = r.getU64();
+    stats_.promoted_hits = r.getU64();
+    stats_.unpromoted_hits = r.getU64();
 }
 
 const char *

@@ -23,6 +23,10 @@
  * With no policy installed (every machine except GRASP) both call sites
  * compile to the unconditional stamp bump the baseline always performed,
  * so simulated results are bit-identical to the pre-policy code.
+ *
+ * A policy is one of CmpMachine's two plug points: the machine owns it,
+ * installs it on the L2, and forwards the run configuration, stat
+ * registration and checkpoint traversal to it.
  */
 
 #ifndef OMEGA_SIM_CACHE_POLICY_HH
@@ -34,6 +38,9 @@
 namespace omega {
 
 struct MachineConfig;
+class SnapshotReader;
+class SnapshotWriter;
+class StatGroup;
 
 /** LLC insertion/promotion hook. Addresses are line-aligned. */
 class CachePolicy
@@ -56,6 +63,14 @@ class CachePolicy
      * @return true to promote the line to MRU (baseline behavior).
      */
     virtual bool promoteOnHit(std::uint64_t line_addr) = 0;
+
+    /** Re-derive per-run state from the run's configuration. */
+    virtual void configure(const MachineConfig &) {}
+    /** Register decision counters in the machine's "policy" group. */
+    virtual void addStats(StatGroup &) const {}
+    /** Checkpoint the mutable state configure() does not re-derive. */
+    virtual void save(SnapshotWriter &) const {}
+    virtual void restore(SnapshotReader &) {}
 };
 
 /**
@@ -128,6 +143,15 @@ class GraspPolicy final : public CachePolicy
     /** Region class of a line address. */
     enum class Region : std::uint8_t { Other, Hot, Warm, Cold };
 
+    /**
+     * Warm tier extent: vertices with id in [hot_boundary,
+     * kWarmFactor * hot_boundary) insert at distant priority but may
+     * earn promotion. Fixed rather than a MachineParams knob so the
+     * parameter JSON (and with it the pinned golden digests) is
+     * identical to the baseline's.
+     */
+    static constexpr unsigned kWarmFactor = 4;
+
     GraspPolicy() = default;
     /** Construct with regions; aborts on invalid/overlapping bounds. */
     explicit GraspPolicy(std::vector<GraspRegion> regions);
@@ -155,12 +179,16 @@ class GraspPolicy final : public CachePolicy
     bool insertAtMru(std::uint64_t line_addr) override;
     bool promoteOnHit(std::uint64_t line_addr) override;
 
+    /** Rebuild the protection map from the run's monitored property
+     *  ranges and hot boundary (regionsFromConfig with kWarmFactor). */
+    void configure(const MachineConfig &config) override;
+    void addStats(StatGroup &group) const override;
+    /** The decision counters (the region map is re-derived by
+     *  configure() on resume). */
+    void save(SnapshotWriter &w) const override;
+    void restore(SnapshotReader &r) override;
+
     const GraspPolicyStats &stats() const { return stats_; }
-    /** Counters live at a stable address for stat-tree registration. */
-    const GraspPolicyStats *statsPtr() const { return &stats_; }
-    void resetStats() { stats_ = GraspPolicyStats{}; }
-    /** Overwrite the counters in place (checkpoint restore). */
-    void restoreStats(const GraspPolicyStats &s) { stats_ = s; }
 
     const std::vector<GraspRegion> &regions() const { return regions_; }
 

@@ -5,47 +5,39 @@
 
 #include "sim/machine_registry.hh"
 
-#include "omega/omega_machine.hh"
-#include "sim/baseline_machine.hh"
-#include "sim/grasp_machine.hh"
 #include "util/logging.hh"
 
 namespace omega {
 
 namespace {
 
-std::unique_ptr<MemorySystem>
-makeBaseline(const MachineParams &params)
+std::unique_ptr<CachePolicy>
+makeGraspPolicy()
 {
-    return std::make_unique<BaselineMachine>(params);
-}
-
-std::unique_ptr<MemorySystem>
-makeGrasp(const MachineParams &params)
-{
-    return std::make_unique<GraspMachine>(params);
-}
-
-std::unique_ptr<MemorySystem>
-makeOmega(const MachineParams &params)
-{
-    return std::make_unique<OmegaMachine>(params);
+    return std::make_unique<GraspPolicy>();
 }
 
 } // namespace
+
+std::unique_ptr<CmpMachine>
+MachineRegistryEntry::make(const MachineParams &params) const
+{
+    return std::make_unique<CmpMachine>(
+        params, name, make_policy != nullptr ? make_policy() : nullptr);
+}
 
 const std::vector<MachineRegistryEntry> &
 machineRegistry()
 {
     static const std::vector<MachineRegistryEntry> table = {
         {"baseline", "plain-cache CMP (paper Table III)",
-         &MachineParams::baseline, &makeBaseline},
+         &MachineParams::baseline, nullptr},
         {"grasp", "baseline hardware + GRASP LLC insertion/promotion",
-         &MachineParams::grasp, &makeGrasp},
+         &MachineParams::grasp, &makeGraspPolicy},
         {"omega", "scratchpads + PISC engines (paper Fig 6)",
-         &MachineParams::omega, &makeOmega},
+         &MachineParams::omega, nullptr},
         {"omega-sp-only", "scratchpads without PISCs (section X.A)",
-         &MachineParams::omegaScratchpadOnly, &makeOmega},
+         &MachineParams::omegaScratchpadOnly, nullptr},
     };
     return table;
 }

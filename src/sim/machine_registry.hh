@@ -2,19 +2,17 @@
  * @file
  * Machine registry: the simulated design points, enumerable by name.
  *
- * The repo started as a two-point comparison (baseline vs. OMEGA) and
- * the glue code grew hard-coded {baseline, omega} pairs — machine
- * construction switches in the bench harness, in the differential
- * oracle, in stats labels. The registry replaces those: every simulated
- * machine is one entry carrying its canonical name, its parameter
- * factory and its constructor, and benches/tests iterate the table
- * instead of enumerating literals. Adding a fourth design point means
- * adding one entry here.
+ * Every design point is the one composed CmpMachine in a different
+ * configuration: an entry is a name, a parameter factory and an optional
+ * LLC policy factory. The near-memory unit needs no entry field — the
+ * parameters attach it (sp_total_bytes > 0). Benches and tests iterate
+ * the table instead of enumerating literals; adding a design point
+ * means adding one entry here.
  *
  * The entry's name is the single source of truth for every label a run
- * emits: the constructed machine's name() must equal it (enforced by
- * test_machines), and --json "machine" fields, trace process names and
- * stat-tree roots all derive from name().
+ * emits: the constructed machine's name(), its stat-tree root and trace
+ * process name all equal it (enforced by test_machines), and --json
+ * "machine" fields derive from it.
  */
 
 #ifndef OMEGA_SIM_MACHINE_REGISTRY_HH
@@ -24,7 +22,7 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/memory_system.hh"
+#include "sim/cmp_machine.hh"
 #include "sim/params.hh"
 
 namespace omega {
@@ -38,8 +36,11 @@ struct MachineRegistryEntry
     const char *description;
     /** Unscaled paper-configuration parameters. */
     MachineParams (*make_params)();
+    /** LLC policy plug-in factory; nullptr keeps true LRU. */
+    std::unique_ptr<CachePolicy> (*make_policy)();
+
     /** Construct the machine from (possibly tweaked/scaled) params. */
-    std::unique_ptr<MemorySystem> (*make)(const MachineParams &params);
+    std::unique_ptr<CmpMachine> make(const MachineParams &params) const;
 };
 
 /**

@@ -2,12 +2,14 @@
  * @file
  * Abstract memory-system interface the framework runtime drives.
  *
- * Two implementations exist: BaselineMachine (conventional MESI cache
- * hierarchy) and OmegaMachine (hybrid cache + scratchpad with PISC
- * engines). The framework is machine-agnostic: it registers its vtxProp
+ * The simulator's one implementation is CmpMachine (sim/cmp_machine.hh):
+ * the MESI cache hierarchy with an optional LLC policy and an optional
+ * near-memory unit (scratchpads + PISC engines). Benches and tests also
+ * wrap or stub the interface (timing proxies, counting-only machines).
+ * The framework is machine-agnostic: it registers its vtxProp
  * layout (the paper's address-monitoring-register configuration), then
  * emits compute, load/store, source-prop-read and atomic-update events;
- * each machine interprets them with its own timing and routing.
+ * the machine's composition decides their timing and routing.
  */
 
 #ifndef OMEGA_SIM_MEMORY_SYSTEM_HH

@@ -111,7 +111,8 @@ struct MachineParams
     static MachineParams baseline();
     /**
      * GRASP node: the baseline hardware verbatim — the machine differs
-     * only in the LLC insertion/promotion policy GraspMachine installs,
+     * only in the LLC insertion/promotion policy its registry entry
+     * installs,
      * so the parameter document of a grasp run is identical to a
      * baseline run's (a deliberate property: the two machines isolate
      * pure replacement-policy effects).

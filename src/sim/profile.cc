@@ -9,7 +9,7 @@
 #include <utility>
 
 #include "sim/access.hh"
-#include "sim/grasp_machine.hh"
+#include "sim/cache_policy.hh"
 #include "sim/memory_system.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -172,7 +172,7 @@ AccessProfiler::configure(const MachineConfig &config)
     // Same tiers and warm factor the GRASP policy derives, so the
     // attribution matches the policy's view of the address space.
     region_map_.setRegions(GraspPolicy::regionsFromConfig(
-        config, GraspMachine::kWarmFactor));
+        config, GraspPolicy::kWarmFactor));
 }
 
 void

@@ -87,7 +87,7 @@ class SnapshotStateError : public SnapshotError
 };
 
 /** Current snapshot format version. Bump on any layout change. */
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /** FNV-1a 64-bit over @p size bytes (the payload checksum). */
 std::uint64_t snapshotChecksum(const void *data, std::size_t size);

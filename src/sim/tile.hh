@@ -2,13 +2,12 @@
  * @file
  * Per-core tile: the core-private half of a machine.
  *
- * A machine splits into per-core tiles and a shared spine. A tile
+ * CmpMachine splits into per-core tiles and a shared spine. A tile
  * bundles the state only the owning core's events touch: its timing
- * model and its private counters. Both machines hold a vector of tiles
- * (OMEGA extends the tile with its source-vertex buffer); everything
- * mutated across cores — caches, crossbar, DRAM, scratchpad controller
- * — stays outside, on the spine.
- * The grouping is the unit a future multi-chip sharding would distribute.
+ * model and its private counters. Everything mutated across cores —
+ * caches, crossbar, DRAM, the near-memory unit's scratchpads and
+ * controller — stays outside, on the spine. The split keeps each
+ * core's replay state in one place; it is not a distribution unit.
  */
 
 #ifndef OMEGA_SIM_TILE_HH
@@ -21,15 +20,15 @@
 
 namespace omega {
 
-/** Core-private state common to both machines. */
+/** Core-private state of one core. */
 struct CoreTile
 {
     explicit CoreTile(const MachineParams &params) : core(params) {}
 
     CoreModel core;
     /** Sparse active-list appends attributed to this tile — the issuing
-     *  core on the baseline, the home engine for OMEGA's PISC path
-     *  (address generation for the interleaved append layout). */
+     *  core for core-executed atomics, the home engine for offloaded
+     *  ones (address generation for the interleaved append layout). */
     std::uint64_t sparse_appends = 0;
 };
 

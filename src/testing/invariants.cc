@@ -7,7 +7,7 @@
 
 #include <sstream>
 
-#include "sim/grasp_machine.hh"
+#include "sim/cmp_machine.hh"
 
 namespace omega {
 namespace testing {
@@ -134,10 +134,13 @@ std::vector<std::string>
 checkPolicyInvariants(const MemorySystem &mach, const StatsReport &r)
 {
     std::vector<std::string> out;
-    const auto *grasp = dynamic_cast<const GraspMachine *>(&mach);
+    const auto *cmp = dynamic_cast<const CmpMachine *>(&mach);
+    if (cmp == nullptr)
+        return out;
+    const auto *grasp = dynamic_cast<const GraspPolicy *>(cmp->llcPolicy());
     if (grasp == nullptr)
         return out;
-    const GraspPolicyStats &s = grasp->policy().stats();
+    const GraspPolicyStats &s = grasp->stats();
 
     // The L2 consults the policy exactly once per fill and once per hit,
     // so the decision counters must sum to the hierarchy's L2 totals.

@@ -22,8 +22,7 @@
 #include "graph/builder.hh"
 #include "graph/generators.hh"
 #include "graph/reorder.hh"
-#include "omega/omega_machine.hh"
-#include "sim/baseline_machine.hh"
+#include "sim/cmp_machine.hh"
 #include "util/rng.hh"
 
 namespace omega {
@@ -295,7 +294,7 @@ TEST(Brandes, RunsOnBothMachines)
     g = reorderGraph(g, ReorderKind::InDegreeNthElement);
     const VertexId root = defaultRoot(g);
     auto pure = runBcBrandes(g, root, nullptr);
-    OmegaMachine om(MachineParams::omega().scaledCapacities(1.0 / 64));
+    CmpMachine om(MachineParams::omega().scaledCapacities(1.0 / 64), "omega");
     auto on_omega = runBcBrandes(g, root, &om);
     EXPECT_GT(om.cycles(), 0u);
     for (VertexId v = 0; v < g.numVertices(); ++v)
@@ -319,12 +318,13 @@ TEST(PullMode, PullHasNoAtomicsOnAnyMachine)
     Rng rng(18);
     Graph g = buildGraph(1 << 9, generateRmat(9, 8, rng));
     g = reorderGraph(g, ReorderKind::InDegreeNthElement);
-    BaselineMachine base(MachineParams::baseline().scaledCapacities(1.0 / 64));
+    CmpMachine base(MachineParams::baseline().scaledCapacities(1.0 / 64),
+                    "baseline");
     runPageRankPull(g, &base, 1);
     EXPECT_EQ(base.report().atomics_total, 0u);
     EXPECT_GT(base.cycles(), 0u);
 
-    OmegaMachine om(MachineParams::omega().scaledCapacities(1.0 / 64));
+    CmpMachine om(MachineParams::omega().scaledCapacities(1.0 / 64), "omega");
     runPageRankPull(g, &om, 1);
     EXPECT_EQ(om.report().atomics_total, 0u);
     // The random source reads route to the scratchpads instead.
@@ -335,7 +335,7 @@ TEST(PullMode, PushAndPullAgreeThroughMachines)
 {
     Rng rng(19);
     Graph g = buildGraph(1 << 9, generateRmat(9, 8, rng));
-    OmegaMachine om(MachineParams::omega().scaledCapacities(1.0 / 64));
+    CmpMachine om(MachineParams::omega().scaledCapacities(1.0 / 64), "omega");
     auto pull = runPageRankPull(g, &om, 3);
     auto push = runPageRank(g, nullptr, 3);
     for (VertexId v = 0; v < g.numVertices(); ++v)

@@ -17,8 +17,7 @@
 #include "graph/builder.hh"
 #include "graph/generators.hh"
 #include "graph/reorder.hh"
-#include "omega/omega_machine.hh"
-#include "sim/baseline_machine.hh"
+#include "sim/cmp_machine.hh"
 #include "util/rng.hh"
 
 namespace omega {
@@ -40,9 +39,10 @@ TEST(AlgoSim, BfsResultIdenticalOnBothMachines)
     const VertexId root = defaultRoot(g);
     auto pure = runBfs(g, root, nullptr);
 
-    BaselineMachine base(MachineParams::baseline().scaledCapacities(kScale));
+    CmpMachine base(MachineParams::baseline().scaledCapacities(kScale),
+                    "baseline");
     auto on_base = runBfs(g, root, &base);
-    OmegaMachine om(MachineParams::omega().scaledCapacities(kScale));
+    CmpMachine om(MachineParams::omega().scaledCapacities(kScale), "omega");
     auto on_omega = runBfs(g, root, &om);
 
     EXPECT_EQ(pure.reached, on_base.reached);
@@ -61,9 +61,10 @@ TEST(AlgoSim, SsspExactOnBothMachines)
     const VertexId root = defaultRoot(g);
     auto ref = refDijkstra(g, root);
 
-    BaselineMachine base(MachineParams::baseline().scaledCapacities(kScale));
+    CmpMachine base(MachineParams::baseline().scaledCapacities(kScale),
+                    "baseline");
     auto on_base = runSssp(g, root, &base);
-    OmegaMachine om(MachineParams::omega().scaledCapacities(kScale));
+    CmpMachine om(MachineParams::omega().scaledCapacities(kScale), "omega");
     auto on_omega = runSssp(g, root, &om);
     for (VertexId v = 0; v < g.numVertices(); ++v) {
         ASSERT_EQ(on_base.dist[v], ref[v]);
@@ -77,13 +78,13 @@ TEST(AlgoSim, CyclesAreDeterministic)
     Cycles c1;
     Cycles c2;
     {
-        BaselineMachine m(
-            MachineParams::baseline().scaledCapacities(kScale));
+        CmpMachine m(
+            MachineParams::baseline().scaledCapacities(kScale), "baseline");
         c1 = runAlgorithmOnMachine(AlgorithmKind::PageRank, g, &m);
     }
     {
-        BaselineMachine m(
-            MachineParams::baseline().scaledCapacities(kScale));
+        CmpMachine m(
+            MachineParams::baseline().scaledCapacities(kScale), "baseline");
         c2 = runAlgorithmOnMachine(AlgorithmKind::PageRank, g, &m);
     }
     EXPECT_EQ(c1, c2);
@@ -93,8 +94,9 @@ TEST(AlgoSim, CyclesAreDeterministic)
 TEST(AlgoSim, OmegaSpeedsUpPageRankOnPowerLaw)
 {
     Graph g = powerLawGraph(3);
-    BaselineMachine base(MachineParams::baseline().scaledCapacities(kScale));
-    OmegaMachine om(MachineParams::omega().scaledCapacities(kScale));
+    CmpMachine base(MachineParams::baseline().scaledCapacities(kScale),
+                    "baseline");
+    CmpMachine om(MachineParams::omega().scaledCapacities(kScale), "omega");
     const Cycles cb =
         runAlgorithmOnMachine(AlgorithmKind::PageRank, g, &base);
     const Cycles co = runAlgorithmOnMachine(AlgorithmKind::PageRank, g, &om);
@@ -104,7 +106,7 @@ TEST(AlgoSim, OmegaSpeedsUpPageRankOnPowerLaw)
 TEST(AlgoSim, OmegaOffloadsMostAtomicsOnPowerLaw)
 {
     Graph g = powerLawGraph(3);
-    OmegaMachine om(MachineParams::omega().scaledCapacities(kScale));
+    CmpMachine om(MachineParams::omega().scaledCapacities(kScale), "omega");
     runAlgorithmOnMachine(AlgorithmKind::PageRank, g, &om);
     const StatsReport r = om.report();
     EXPECT_GT(r.atomics_total, 0u);
@@ -116,7 +118,8 @@ TEST(AlgoSim, OmegaOffloadsMostAtomicsOnPowerLaw)
 TEST(AlgoSim, HotFractionHighOnPowerLawLowOnRoad)
 {
     Graph pl = powerLawGraph(9);
-    BaselineMachine m1(MachineParams::baseline().scaledCapacities(kScale));
+    CmpMachine m1(MachineParams::baseline().scaledCapacities(kScale),
+                  "baseline");
     runAlgorithmOnMachine(AlgorithmKind::PageRank, pl, &m1);
     const double hot_pl = m1.report().hotVertexAccessFraction();
     EXPECT_GT(hot_pl, 0.6); // paper Fig 4(b): >75% on natural graphs
@@ -126,7 +129,8 @@ TEST(AlgoSim, HotFractionHighOnPowerLawLowOnRoad)
                             generateRoadMesh(48, 48, 0.1, 0.05, rng),
                             {.symmetrize = true});
     road = reorderGraph(road, ReorderKind::InDegreeNthElement);
-    BaselineMachine m2(MachineParams::baseline().scaledCapacities(kScale));
+    CmpMachine m2(MachineParams::baseline().scaledCapacities(kScale),
+                  "baseline");
     runAlgorithmOnMachine(AlgorithmKind::PageRank, road, &m2);
     const double hot_road = m2.report().hotVertexAccessFraction();
     EXPECT_LT(hot_road, 0.45); // ~20% + epsilon on uniform graphs
@@ -139,9 +143,9 @@ TEST(AlgoSim, EveryAlgorithmRunsOnBothMachines)
                          {.symmetrize = true});
     g = reorderGraph(g, ReorderKind::InDegreeNthElement);
     for (const auto &meta : allAlgorithms()) {
-        BaselineMachine base(
-            MachineParams::baseline().scaledCapacities(kScale));
-        OmegaMachine om(MachineParams::omega().scaledCapacities(kScale));
+        CmpMachine base(
+            MachineParams::baseline().scaledCapacities(kScale), "baseline");
+        CmpMachine om(MachineParams::omega().scaledCapacities(kScale), "omega");
         const Cycles cb = runAlgorithmOnMachine(meta.kind, g, &base);
         const Cycles co = runAlgorithmOnMachine(meta.kind, g, &om);
         EXPECT_GT(cb, 0u) << meta.name;
@@ -160,7 +164,7 @@ TEST(AlgoSim, SrcPropReadsHitSvbForSssp)
     Graph g = buildGraph(40 * 40, generateRoadMesh(40, 40, 0.1, 0.05, rng),
                          {.symmetrize = true});
     g = reorderGraph(g, ReorderKind::InDegreeNthElement);
-    OmegaMachine om(MachineParams::omega().scaledCapacities(kScale));
+    CmpMachine om(MachineParams::omega().scaledCapacities(kScale), "omega");
     runAlgorithmOnMachine(AlgorithmKind::SSSP, g, &om);
     const StatsReport r = om.report();
     EXPECT_GT(r.svb_hits + r.svb_misses, 0u);
@@ -177,7 +181,7 @@ TEST(AlgoSim, DenseModeKeepsSourceReadsLocal)
     // chunk, the dense-forward sweep reads each source's vtxProp from
     // the LOCAL scratchpad.
     Graph g = powerLawGraph(6);
-    OmegaMachine om(MachineParams::omega().scaledCapacities(kScale));
+    CmpMachine om(MachineParams::omega().scaledCapacities(kScale), "omega");
     runAlgorithmOnMachine(AlgorithmKind::SSSP, g, &om);
     const StatsReport r = om.report();
     EXPECT_GT(r.sp_local, 0u);
@@ -188,7 +192,7 @@ TEST(AlgoSim, DenseModeKeepsSourceReadsLocal)
 TEST(AlgoSim, StatsInternallyConsistent)
 {
     Graph g = powerLawGraph(8);
-    OmegaMachine om(MachineParams::omega().scaledCapacities(kScale));
+    CmpMachine om(MachineParams::omega().scaledCapacities(kScale), "omega");
     runAlgorithmOnMachine(AlgorithmKind::PageRank, g, &om);
     const StatsReport r = om.report();
     EXPECT_LE(r.l1_hits, r.l1_accesses);
@@ -207,9 +211,10 @@ TEST(AlgoSim, ScratchpadOnlyIsSlowerThanFullOmega)
 {
     // Section X.A: scratchpads without PISCs forgo most of the benefit.
     Graph g = powerLawGraph(3);
-    OmegaMachine full(MachineParams::omega().scaledCapacities(kScale));
-    OmegaMachine sp_only(
-        MachineParams::omegaScratchpadOnly().scaledCapacities(kScale));
+    CmpMachine full(MachineParams::omega().scaledCapacities(kScale), "omega");
+    CmpMachine sp_only(
+        MachineParams::omegaScratchpadOnly().scaledCapacities(kScale),
+        "omega-sp-only");
     const Cycles cf =
         runAlgorithmOnMachine(AlgorithmKind::PageRank, g, &full);
     const Cycles cs =
@@ -224,8 +229,8 @@ TEST(AlgoSim, MemoryBoundFractionIsHighOnBaseline)
     Rng rng(13);
     Graph g = buildGraph(1 << 13, generateRmat(13, 12, rng));
     g = reorderGraph(g, ReorderKind::InDegreeNthElement);
-    BaselineMachine base(
-        MachineParams::baseline().scaledCapacities(1.0 / 512));
+    CmpMachine base(
+        MachineParams::baseline().scaledCapacities(1.0 / 512), "baseline");
     runAlgorithmOnMachine(AlgorithmKind::PageRank, g, &base);
     EXPECT_GT(base.report().memoryBoundFraction(), 0.5);
 }

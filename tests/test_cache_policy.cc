@@ -312,7 +312,7 @@ TEST(GraspPolicyDeathTest, OutOfOrderBoundsAbort)
 // The headline claim, pinned on a real workload.
 // ---------------------------------------------------------------------
 
-TEST(GraspMachineWorkload, BeatsBaselineOnThrashingPowerLawDataset)
+TEST(GraspWorkload, BeatsBaselineOnThrashingPowerLawDataset)
 {
     // lj is the largest power-law fig14 dataset in the simulation set:
     // its vertex properties overflow the capacity-scaled LLC, so

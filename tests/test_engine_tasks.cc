@@ -15,7 +15,7 @@
 #include "framework/engine.hh"
 #include "graph/builder.hh"
 #include "graph/generators.hh"
-#include "sim/baseline_machine.hh"
+#include "sim/cmp_machine.hh"
 #include "util/rng.hh"
 
 namespace omega {
@@ -79,8 +79,8 @@ TEST(EngineTasks, HubIsSharedAcrossCores)
     opts.max_edges_per_task = 64;
     PropertyRegistry props(g.numVertices());
     auto &prop = props.create<double>("p", 0.0);
-    BaselineMachine mach(
-        MachineParams::baseline().scaledCapacities(1.0 / 64));
+    CmpMachine mach(
+        MachineParams::baseline().scaledCapacities(1.0 / 64), "baseline");
     Engine eng(g, props, pageRankUpdateFn(), &mach, opts);
     eng.setAtomicTarget(&prop);
     eng.configureMachine();
@@ -106,8 +106,8 @@ TEST(EngineTasks, SparseModeSplitsHubsToo)
     opts.dense_threshold_denom = 1;
     PropertyRegistry props(g.numVertices());
     auto &prop = props.create<double>("p", 0.0);
-    BaselineMachine mach(
-        MachineParams::baseline().scaledCapacities(1.0 / 64));
+    CmpMachine mach(
+        MachineParams::baseline().scaledCapacities(1.0 / 64), "baseline");
     Engine eng(g, props, pageRankUpdateFn(), &mach, opts);
     eng.setAtomicTarget(&prop);
     eng.configureMachine();
@@ -149,14 +149,16 @@ TEST(EngineTasks, CyclesDeterministicPerTaskSize)
         Cycles c1;
         Cycles c2;
         {
-            BaselineMachine m(
-                MachineParams::baseline().scaledCapacities(1.0 / 64));
+            CmpMachine m(
+                MachineParams::baseline().scaledCapacities(1.0 / 64),
+                "baseline");
             runPageRank(g, &m, 1, 0.85, 0.0, opts);
             c1 = m.cycles();
         }
         {
-            BaselineMachine m(
-                MachineParams::baseline().scaledCapacities(1.0 / 64));
+            CmpMachine m(
+                MachineParams::baseline().scaledCapacities(1.0 / 64),
+                "baseline");
             runPageRank(g, &m, 1, 0.85, 0.0, opts);
             c2 = m.cycles();
         }
@@ -172,8 +174,8 @@ TEST(EngineTasks, SplittingReducesTailLatency)
     auto run = [&](unsigned cap) {
         EngineOptions opts;
         opts.max_edges_per_task = cap;
-        BaselineMachine m(
-            MachineParams::baseline().scaledCapacities(1.0 / 64));
+        CmpMachine m(
+            MachineParams::baseline().scaledCapacities(1.0 / 64), "baseline");
         PropertyRegistry props(g.numVertices());
         auto &prop = props.create<double>("p", 0.0);
         Engine eng(g, props, pageRankUpdateFn(), &m, opts);

@@ -17,8 +17,7 @@
 #include <vector>
 
 #include "framework/engine.hh"
-#include "omega/omega_machine.hh"
-#include "sim/baseline_machine.hh"
+#include "sim/cmp_machine.hh"
 #include "sim/fault.hh"
 #include "sim/params.hh"
 #include "testing/capture.hh"
@@ -229,7 +228,7 @@ TEST(FaultRecovery, EccPoisonFallsBackToCachePath)
     const FaultPlan p = plan(
         "seed=5,ecc=1,retries=0,line-threshold=1,sp-threshold=1");
     const Graph g = smallRmat().materialize();
-    OmegaMachine mach(MachineParams::omega().scaledCapacities(kScale));
+    CmpMachine mach(MachineParams::omega().scaledCapacities(kScale), "omega");
     mach.armFaults(p);
     const AlgoCapture func =
         captureAlgorithm(AlgorithmKind::BFS, g, nullptr);
@@ -241,8 +240,8 @@ TEST(FaultRecovery, EccPoisonFallsBackToCachePath)
     EXPECT_GT(c.lines_poisoned, 0u);
     EXPECT_GT(c.sp_demotions, 0u);
     EXPECT_GT(c.refetches, 0u);
-    EXPECT_GT(mach.controller().poisonedLines(), 0u);
-    EXPECT_GT(mach.controller().demotedScratchpads(), 0u);
+    EXPECT_GT(mach.nearMemory()->controller.poisonedLines(), 0u);
+    EXPECT_GT(mach.nearMemory()->controller.demotedScratchpads(), 0u);
 }
 
 TEST(FaultRecovery, NackExhaustionDegradesToCoreAtomics)
@@ -253,7 +252,7 @@ TEST(FaultRecovery, NackExhaustionDegradesToCoreAtomics)
         "seed=5,nack-always=1,retries=2,backoff=4,"
         "line-threshold=1,sp-threshold=1");
     const Graph g = smallRmat().materialize();
-    OmegaMachine mach(MachineParams::omega().scaledCapacities(kScale));
+    CmpMachine mach(MachineParams::omega().scaledCapacities(kScale), "omega");
     mach.armFaults(p);
     const AlgoCapture func =
         captureAlgorithm(AlgorithmKind::PageRank, g, nullptr);
@@ -273,7 +272,7 @@ TEST(FaultWatchdog, LostUpdateTripsWithDiagnosticDump)
     const FaultPlan p =
         plan("seed=5,nack-always=1,no-retry=1,watchdog=100000000");
     const Graph g = smallRmat().materialize();
-    OmegaMachine mach(MachineParams::omega().scaledCapacities(kScale));
+    CmpMachine mach(MachineParams::omega().scaledCapacities(kScale), "omega");
     mach.armFaults(p);
     try {
         (void)captureAlgorithm(AlgorithmKind::PageRank, g, &mach);
@@ -295,14 +294,15 @@ TEST(FaultWatchdog, EngineOptionOverridesPlanBudget)
     EngineOptions opts;
     opts.watchdog_cycles = 1;
     {
-        BaselineMachine mach(
-            MachineParams::baseline().scaledCapacities(kScale));
+        CmpMachine mach(
+            MachineParams::baseline().scaledCapacities(kScale), "baseline");
         EXPECT_THROW(
             (void)captureAlgorithm(AlgorithmKind::PageRank, g, &mach, opts),
             WatchdogError);
     }
     {
-        OmegaMachine mach(MachineParams::omega().scaledCapacities(kScale));
+        CmpMachine mach(MachineParams::omega().scaledCapacities(kScale),
+                        "omega");
         EXPECT_THROW(
             (void)captureAlgorithm(AlgorithmKind::PageRank, g, &mach, opts),
             WatchdogError);
@@ -314,7 +314,7 @@ TEST(FaultWatchdog, GenerousBudgetDoesNotTrip)
     const Graph g = smallRmat().materialize();
     EngineOptions opts;
     opts.watchdog_cycles = Cycles{1} << 50;
-    OmegaMachine mach(MachineParams::omega().scaledCapacities(kScale));
+    CmpMachine mach(MachineParams::omega().scaledCapacities(kScale), "omega");
     mach.armFaults(plan("seed=5,ecc=0.05,nack=0.1"));
     EXPECT_NO_THROW(
         (void)captureAlgorithm(AlgorithmKind::PageRank, g, &mach, opts));
@@ -330,7 +330,8 @@ TEST(FaultDeterminism, IdenticalCampaignsProduceIdenticalTraces)
     std::uint64_t events = 0;
     AlgoCapture first;
     for (int round = 0; round < 2; ++round) {
-        OmegaMachine mach(MachineParams::omega().scaledCapacities(kScale));
+        CmpMachine mach(MachineParams::omega().scaledCapacities(kScale),
+                        "omega");
         mach.armFaults(p);
         const AlgoCapture got =
             captureAlgorithm(AlgorithmKind::CC, g, &mach);
@@ -381,7 +382,7 @@ TEST(FaultDeterminism, RearmResetsTheCampaign)
     // differs; the reset contract covers the injector only.)
     const FaultPlan p = plan("seed=8,ecc=0.1,dram=0.1");
     const Graph g = smallRmat().materialize();
-    OmegaMachine mach(MachineParams::omega().scaledCapacities(kScale));
+    CmpMachine mach(MachineParams::omega().scaledCapacities(kScale), "omega");
     mach.armFaults(p);
     const std::uint64_t fresh = mach.faultInjector()->traceDigest();
     (void)captureAlgorithm(AlgorithmKind::BFS, g, &mach);
@@ -396,15 +397,16 @@ TEST(FaultDebugDump, DumpsAreInformativeOnBothMachines)
 {
     const FaultPlan p = plan("seed=5,dram=0.2");
     {
-        OmegaMachine mach(MachineParams::omega().scaledCapacities(kScale));
+        CmpMachine mach(MachineParams::omega().scaledCapacities(kScale),
+                        "omega");
         EXPECT_NE(mach.debugDump().find("core"), std::string::npos);
         mach.armFaults(p);
         EXPECT_NE(mach.debugDump().find("fault campaign"),
                   std::string::npos);
     }
     {
-        BaselineMachine mach(
-            MachineParams::baseline().scaledCapacities(kScale));
+        CmpMachine mach(
+            MachineParams::baseline().scaledCapacities(kScale), "baseline");
         mach.armFaults(p);
         EXPECT_NE(mach.debugDump().find("fault campaign"),
                   std::string::npos);

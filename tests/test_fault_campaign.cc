@@ -21,8 +21,7 @@
 #include <sstream>
 #include <vector>
 
-#include "omega/omega_machine.hh"
-#include "sim/baseline_machine.hh"
+#include "sim/cmp_machine.hh"
 #include "sim/checkpoint.hh"
 #include "sim/fault.hh"
 #include "sim/params.hh"
@@ -79,11 +78,11 @@ std::unique_ptr<MemorySystem>
 makeMachine(Machine which)
 {
     if (which == Machine::Baseline) {
-        return std::make_unique<BaselineMachine>(
-            MachineParams::baseline().scaledCapacities(kScale));
+        return std::make_unique<CmpMachine>(
+            MachineParams::baseline().scaledCapacities(kScale), "baseline");
     }
-    return std::make_unique<OmegaMachine>(
-        MachineParams::omega().scaledCapacities(kScale));
+    return std::make_unique<CmpMachine>(
+        MachineParams::omega().scaledCapacities(kScale), "omega");
 }
 
 TEST(FaultCampaign, TransientRecoveryIsBitIdentical)
@@ -235,13 +234,13 @@ TEST(FaultCampaign, DegradedRunLandsOnCachePath)
         &error);
     ASSERT_TRUE(plan.has_value()) << error;
     const Graph g = campaignGraph().materialize();
-    OmegaMachine mach(MachineParams::omega().scaledCapacities(kScale));
+    CmpMachine mach(MachineParams::omega().scaledCapacities(kScale), "omega");
     mach.armFaults(*plan);
     (void)captureAlgorithm(AlgorithmKind::CC, g, &mach);
     const FaultCounters &c = mach.faultInjector()->counters();
     EXPECT_GT(c.degraded_atomics, 0u);
     EXPECT_GT(c.lines_poisoned, 0u);
-    EXPECT_GT(mach.controller().demotedScratchpads(), 0u);
+    EXPECT_GT(mach.nearMemory()->controller.demotedScratchpads(), 0u);
 }
 
 } // namespace

@@ -15,7 +15,7 @@
 #include "framework/vertex_subset.hh"
 #include "graph/builder.hh"
 #include "graph/generators.hh"
-#include "sim/baseline_machine.hh"
+#include "sim/cmp_machine.hh"
 #include "util/rng.hh"
 
 namespace omega {
@@ -369,7 +369,7 @@ TEST(Engine, MachineReceivesEvents)
     PropertyRegistry props(64);
     auto &prop = props.create<double>("p", 0.0);
     MachineParams mp = MachineParams::baseline().scaledCapacities(1.0 / 64);
-    BaselineMachine mach(mp);
+    CmpMachine mach(mp, "baseline");
     Engine eng(g, props, pageRankUpdateFn(), &mach);
     eng.setAtomicTarget(&prop);
     eng.configureMachine();
@@ -396,7 +396,7 @@ TEST(Engine, FunctionalAndSimulatedAgree)
     Graph g = buildGraph(1 << 9, generateRmat(9, 8, rng));
     auto func = runPageRank(g, nullptr, 3);
     MachineParams mp = MachineParams::baseline().scaledCapacities(1.0 / 64);
-    BaselineMachine mach(mp);
+    CmpMachine mach(mp, "baseline");
     auto sim = runPageRank(g, &mach, 3);
     ASSERT_EQ(func.rank.size(), sim.rank.size());
     for (VertexId v = 0; v < g.numVertices(); ++v)

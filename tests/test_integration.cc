@@ -11,8 +11,7 @@
 #include "graph/reorder.hh"
 #include "model/energy_model.hh"
 #include "model/highlevel_model.hh"
-#include "omega/omega_machine.hh"
-#include "sim/baseline_machine.hh"
+#include "sim/cmp_machine.hh"
 
 namespace omega {
 namespace {
@@ -38,8 +37,8 @@ runPair(const std::string &dataset, AlgorithmKind kind)
         MachineParams::baseline().scaledCapacities(spec.capacity_scale);
     out.omega_params =
         MachineParams::omega().scaledCapacities(spec.capacity_scale);
-    BaselineMachine base(out.base_params);
-    OmegaMachine om(out.omega_params);
+    CmpMachine base(out.base_params, "baseline");
+    CmpMachine om(out.omega_params, "omega");
     out.base_cycles = runAlgorithmOnMachine(kind, g, &base);
     out.omega_cycles = runAlgorithmOnMachine(kind, g, &om);
     out.base = base.report();
@@ -158,10 +157,10 @@ TEST(Integration, ReorderingAblationDirection)
 
     const auto params =
         MachineParams::baseline().scaledCapacities(spec.capacity_scale);
-    BaselineMachine m1(params);
+    CmpMachine m1(params, "baseline");
     const Cycles c_nat =
         runAlgorithmOnMachine(AlgorithmKind::PageRank, natural, &m1);
-    BaselineMachine m2(params);
+    CmpMachine m2(params, "baseline");
     const Cycles c_ord =
         runAlgorithmOnMachine(AlgorithmKind::PageRank, ordered, &m2);
     // Within +-35%: reordering alone is NOT the 2x win OMEGA gets.

@@ -1,12 +1,13 @@
 /**
  * @file
- * Tests for the BaselineMachine and OmegaMachine memory systems.
+ * Tests for the composed CMP machine: with and without the near-memory
+ * unit, and the registry configurations built from it.
  */
 
 #include <gtest/gtest.h>
 
-#include "omega/omega_machine.hh"
-#include "sim/baseline_machine.hh"
+#include "sim/cmp_machine.hh"
+#include "sim/machine_registry.hh"
 
 namespace omega {
 namespace {
@@ -57,11 +58,43 @@ atomicOn(unsigned core, VertexId v, std::uint32_t entry = 8)
     return r;
 }
 
-// --- Baseline ---------------------------------------------------------
+// --- Registry configurations ------------------------------------------
 
-TEST(BaselineMachine, CountsHotVertexAccesses)
+TEST(MachineRegistry, EveryLabelIsTheEntryName)
 {
-    BaselineMachine m(MachineParams::baseline());
+    // name(), the stat-tree root and the trace process name all derive
+    // from the entry's name, including for entries sharing hardware.
+    for (const MachineRegistryEntry &e : machineRegistry()) {
+        const auto m = e.make(e.make_params());
+        EXPECT_EQ(m->name(), e.name);
+        ASSERT_NE(m->statTree(), nullptr) << e.name;
+        EXPECT_EQ(m->statTree()->name(), e.name);
+    }
+}
+
+TEST(MachineRegistry, PlugPointsFollowTheConfiguration)
+{
+    // The near-memory unit exists iff the parameters give the machine
+    // scratchpad capacity; only GRASP installs an LLC policy.
+    for (const MachineRegistryEntry &e : machineRegistry()) {
+        const MachineParams p = e.make_params();
+        const auto m = e.make(p);
+        EXPECT_EQ(m->nearMemory() != nullptr, p.sp_total_bytes > 0)
+            << e.name;
+        EXPECT_EQ(m->llcPolicy() != nullptr,
+                  std::string(e.name) == "grasp")
+            << e.name;
+    }
+    MachineParams p = MachineParams::omega();
+    p.sp_total_bytes = 0;
+    EXPECT_EQ(CmpMachine(p, "omega").nearMemory(), nullptr);
+}
+
+// --- Caches only (no near-memory unit) ---------------------------------
+
+TEST(CmpMachineCachesOnly, CountsHotVertexAccesses)
+{
+    CmpMachine m(MachineParams::baseline(), "baseline");
     m.configure(config(1000)); // hot boundary = 200
     m.memAccess(propLoad(0, 10));
     m.memAccess(propLoad(0, 500));
@@ -71,10 +104,10 @@ TEST(BaselineMachine, CountsHotVertexAccesses)
     EXPECT_EQ(r.vtxprop_hot_accesses, 1u);
 }
 
-TEST(BaselineMachine, AtomicSerializesAndCounts)
+TEST(CmpMachineCachesOnly, AtomicSerializesAndCounts)
 {
     MachineParams p = MachineParams::baseline();
-    BaselineMachine m(p);
+    CmpMachine m(p, "baseline");
     m.configure(config());
     m.atomicUpdate(atomicOn(0, 5));
     m.barrier();
@@ -85,13 +118,13 @@ TEST(BaselineMachine, AtomicSerializesAndCounts)
     EXPECT_GE(r.atomic_stall_cycles, p.atomic_serialize);
 }
 
-TEST(BaselineMachine, PlainAtomicAblationIsCheaper)
+TEST(CmpMachineCachesOnly, PlainAtomicAblationIsCheaper)
 {
     MachineParams p = MachineParams::baseline();
-    BaselineMachine normal(p);
+    CmpMachine normal(p, "baseline");
     normal.configure(config());
     p.atomics_as_plain = true;
-    BaselineMachine plain(p);
+    CmpMachine plain(p, "baseline");
     plain.configure(config());
     for (int i = 0; i < 200; ++i) {
         normal.atomicUpdate(atomicOn(0, i % 64));
@@ -102,9 +135,9 @@ TEST(BaselineMachine, PlainAtomicAblationIsCheaper)
     EXPECT_LT(plain.cycles(), normal.cycles());
 }
 
-TEST(BaselineMachine, BarrierSyncsAllCores)
+TEST(CmpMachineCachesOnly, BarrierSyncsAllCores)
 {
-    BaselineMachine m(MachineParams::baseline());
+    CmpMachine m(MachineParams::baseline(), "baseline");
     m.configure(config());
     m.compute(0, 800); // core 0 races ahead
     m.barrier();
@@ -113,9 +146,9 @@ TEST(BaselineMachine, BarrierSyncsAllCores)
     EXPECT_GE(m.cycles(), 100u);
 }
 
-TEST(BaselineMachine, SparseActivationTouchesCounter)
+TEST(CmpMachineCachesOnly, SparseActivationTouchesCounter)
 {
-    BaselineMachine m(MachineParams::baseline());
+    CmpMachine m(MachineParams::baseline(), "baseline");
     m.configure(config());
     auto r1 = atomicOn(0, 3);
     r1.activates_sparse = true;
@@ -126,7 +159,7 @@ TEST(BaselineMachine, SparseActivationTouchesCounter)
     EXPECT_GE(r.l1_accesses, 3u);
 }
 
-// --- OMEGA ------------------------------------------------------------
+// --- With the near-memory unit (OMEGA) --------------------------------
 
 MachineParams
 omegaParams()
@@ -140,46 +173,46 @@ omegaParams()
     return p;
 }
 
-TEST(OmegaMachine, ResidencyFromCapacity)
+TEST(CmpMachineNearMemory, ResidencyFromCapacity)
 {
-    OmegaMachine m(omegaParams());
+    CmpMachine m(omegaParams(), "omega");
     m.configure(config(100000));
     // 64 KB / 9 B lines = 7281 lines; all vertices beyond stay in cache.
     EXPECT_GT(m.residentVertices(), 7000u);
     EXPECT_LT(m.residentVertices(), 7300u);
 }
 
-TEST(OmegaMachine, SmallGraphFitsEntirely)
+TEST(CmpMachineNearMemory, SmallGraphFitsEntirely)
 {
-    OmegaMachine m(omegaParams());
+    CmpMachine m(omegaParams(), "omega");
     m.configure(config(1000));
     EXPECT_EQ(m.residentVertices(), 1000u);
 }
 
-TEST(OmegaMachine, ScratchpadCapacityCoversRemainder)
+TEST(CmpMachineNearMemory, ScratchpadCapacityCoversRemainder)
 {
     // A total not divisible by the core count must not silently shrink:
     // the remainder bytes are spread over the first scratchpads so the
     // modeled capacity sums to exactly sp_total_bytes.
     MachineParams p = omegaParams();
     p.sp_total_bytes = 64 * 1024 + 7; // 16 cores: 4096 each + 7 left over
-    OmegaMachine m(p);
+    CmpMachine m(p, "omega");
     std::uint64_t total = 0;
-    for (const Scratchpad &sp : m.scratchpads())
+    for (const Scratchpad &sp : m.nearMemory()->scratchpads)
         total += sp.capacityBytes();
     EXPECT_EQ(total, p.sp_total_bytes);
-    EXPECT_EQ(m.scratchpads().front().capacityBytes(), 4096u + 1u);
-    EXPECT_EQ(m.scratchpads().back().capacityBytes(), 4096u);
+    EXPECT_EQ(m.nearMemory()->scratchpads.front().capacityBytes(), 4096u + 1u);
+    EXPECT_EQ(m.nearMemory()->scratchpads.back().capacityBytes(), 4096u);
 
     // Divisible totals keep the historical even split.
-    OmegaMachine even(omegaParams());
-    for (const Scratchpad &sp : even.scratchpads())
+    CmpMachine even(omegaParams(), "omega");
+    for (const Scratchpad &sp : even.nearMemory()->scratchpads)
         EXPECT_EQ(sp.capacityBytes(), 4096u);
 }
 
-TEST(OmegaMachine, ResidentAccessUsesScratchpad)
+TEST(CmpMachineNearMemory, ResidentAccessUsesScratchpad)
 {
-    OmegaMachine m(omegaParams());
+    CmpMachine m(omegaParams(), "omega");
     m.configure(config(1000));
     m.memAccess(propLoad(0, 5));
     m.barrier();
@@ -188,9 +221,9 @@ TEST(OmegaMachine, ResidentAccessUsesScratchpad)
     EXPECT_EQ(r.l1_accesses, 0u);
 }
 
-TEST(OmegaMachine, NonResidentAccessUsesCache)
+TEST(CmpMachineNearMemory, NonResidentAccessUsesCache)
 {
-    OmegaMachine m(omegaParams());
+    CmpMachine m(omegaParams(), "omega");
     m.configure(config(100000));
     const VertexId cold = 50000;
     m.memAccess(propLoad(0, cold));
@@ -200,10 +233,10 @@ TEST(OmegaMachine, NonResidentAccessUsesCache)
     EXPECT_EQ(r.l1_accesses, 1u);
 }
 
-TEST(OmegaMachine, LocalVsRemoteScratchpad)
+TEST(CmpMachineNearMemory, LocalVsRemoteScratchpad)
 {
     MachineParams p = omegaParams();
-    OmegaMachine m(p);
+    CmpMachine m(p, "omega");
     m.configure(config(1000));
     // Vertex 0 homes on scratchpad 0 (chunk 64): local for core 0,
     // remote for core 1.
@@ -217,9 +250,9 @@ TEST(OmegaMachine, LocalVsRemoteScratchpad)
     EXPECT_GT(r.onchip_packets, 0u);
 }
 
-TEST(OmegaMachine, AtomicsAreOffloadedToPisc)
+TEST(CmpMachineNearMemory, AtomicsAreOffloadedToPisc)
 {
-    OmegaMachine m(omegaParams());
+    CmpMachine m(omegaParams(), "omega");
     m.configure(config(1000));
     for (int i = 0; i < 10; ++i)
         m.atomicUpdate(atomicOn(0, 5));
@@ -234,9 +267,9 @@ TEST(OmegaMachine, AtomicsAreOffloadedToPisc)
     EXPECT_EQ(r.atomic_stall_cycles, 0u);
 }
 
-TEST(OmegaMachine, ColdAtomicFallsBackToCore)
+TEST(CmpMachineNearMemory, ColdAtomicFallsBackToCore)
 {
-    OmegaMachine m(omegaParams());
+    CmpMachine m(omegaParams(), "omega");
     m.configure(config(100000));
     m.atomicUpdate(atomicOn(0, 90000));
     m.barrier();
@@ -245,9 +278,9 @@ TEST(OmegaMachine, ColdAtomicFallsBackToCore)
     EXPECT_EQ(r.atomics_on_core, 1u);
 }
 
-TEST(OmegaMachine, BarrierWaitsForPiscs)
+TEST(CmpMachineNearMemory, BarrierWaitsForPiscs)
 {
-    OmegaMachine m(omegaParams());
+    CmpMachine m(omegaParams(), "omega");
     m.configure(config(1000));
     // Queue many atomics on one home PISC; the barrier must cover their
     // completion even though the core fired and forgot.
@@ -257,9 +290,9 @@ TEST(OmegaMachine, BarrierWaitsForPiscs)
     EXPECT_GE(m.cycles(), 100u * 4u);
 }
 
-TEST(OmegaMachine, SvbCachesRemoteSourceReads)
+TEST(CmpMachineNearMemory, SvbCachesRemoteSourceReads)
 {
-    OmegaMachine m(omegaParams());
+    CmpMachine m(omegaParams(), "omega");
     m.configure(config(1000));
     const VertexId v = 200; // homes on scratchpad 3 (chunk 64)
     // Core 0 reads it repeatedly, as SSSP does per out-edge.
@@ -272,9 +305,9 @@ TEST(OmegaMachine, SvbCachesRemoteSourceReads)
     EXPECT_EQ(r.sp_remote, 1u);
 }
 
-TEST(OmegaMachine, SvbInvalidatedAtIterationEnd)
+TEST(CmpMachineNearMemory, SvbInvalidatedAtIterationEnd)
 {
-    OmegaMachine m(omegaParams());
+    CmpMachine m(omegaParams(), "omega");
     m.configure(config(1000));
     const VertexId v = 200;
     m.readSrcProp(0, v, kProp + v * 8ull, 8);
@@ -287,9 +320,9 @@ TEST(OmegaMachine, SvbInvalidatedAtIterationEnd)
     EXPECT_EQ(r.svb_hits, 1u);
 }
 
-TEST(OmegaMachine, LocalSourceReadsBypassSvb)
+TEST(CmpMachineNearMemory, LocalSourceReadsBypassSvb)
 {
-    OmegaMachine m(omegaParams());
+    CmpMachine m(omegaParams(), "omega");
     m.configure(config(1000));
     // Vertex 5 homes on scratchpad 0: local to core 0.
     m.readSrcProp(0, 5, kProp + 5 * 8ull, 8);
@@ -299,11 +332,11 @@ TEST(OmegaMachine, LocalSourceReadsBypassSvb)
     EXPECT_EQ(r.sp_local, 1u);
 }
 
-TEST(OmegaMachine, SpOnlyModeExecutesAtomicsOnCore)
+TEST(CmpMachineNearMemory, SpOnlyModeExecutesAtomicsOnCore)
 {
     MachineParams p = omegaParams();
     p.pisc_enabled = false; // section X.A ablation
-    OmegaMachine m(p);
+    CmpMachine m(p, "omega-sp-only");
     m.configure(config(1000));
     m.atomicUpdate(atomicOn(0, 5));
     m.barrier();
@@ -312,12 +345,11 @@ TEST(OmegaMachine, SpOnlyModeExecutesAtomicsOnCore)
     EXPECT_EQ(r.atomics_on_core, 1u);
     EXPECT_GT(r.sp_accesses, 0u); // still word-level SP data movement
     EXPECT_GT(r.atomic_stall_cycles, 0u);
-    EXPECT_EQ(m.name(), "omega-sp-only");
 }
 
-TEST(OmegaMachine, SameVertexAtomicConflictsCounted)
+TEST(CmpMachineNearMemory, SameVertexAtomicConflictsCounted)
 {
-    OmegaMachine m(omegaParams());
+    CmpMachine m(omegaParams(), "omega");
     m.configure(config(1000));
     // Back-to-back atomics on one vertex arrive while the first is
     // still executing on the home PISC.
@@ -328,15 +360,15 @@ TEST(OmegaMachine, SameVertexAtomicConflictsCounted)
     EXPECT_GE(r.pisc_blocked_conflicts, 1u);
 }
 
-TEST(OmegaMachine, OnChipTrafficSmallerThanBaselinePerAtomic)
+TEST(CmpMachineNearMemory, OnChipTrafficSmallerThanBaselinePerAtomic)
 {
     // The headline Fig-17 mechanism: word packets vs line transfers.
     MachineParams bp = MachineParams::baseline();
     bp.l1d.size_bytes = 1024;
     bp.l2.size_bytes = 256 * 1024;
-    BaselineMachine base(bp);
+    CmpMachine base(bp, "baseline");
     base.configure(config(1000));
-    OmegaMachine om(omegaParams());
+    CmpMachine om(omegaParams(), "omega");
     om.configure(config(1000));
     // Scatter atomics over many vertices from many cores.
     for (unsigned i = 0; i < 1000; ++i) {

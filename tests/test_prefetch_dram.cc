@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/baseline_machine.hh"
+#include "sim/cmp_machine.hh"
 #include "sim/coherence.hh"
 #include "sim/dram.hh"
 
@@ -56,7 +56,7 @@ TEST(Prefetch, MachineRespectsStreamPrefetchSwitch)
     auto stream_time = [&](bool enabled) {
         MachineParams q = p;
         q.stream_prefetch = enabled;
-        BaselineMachine m(q);
+        CmpMachine m(q, "baseline");
         m.configure(cfg);
         // Stream 4 MB of fresh lines through one core.
         for (std::uint64_t i = 0; i < 65536; ++i) {
@@ -88,7 +88,7 @@ TEST(Prefetch, BandwidthFeedbackBoundsTheQueue)
     // Sixteen cores streaming flat out must converge to a bounded queue
     // (cores throttle to the service rate), not a runaway.
     MachineParams p = MachineParams::baseline().scaledCapacities(1.0 / 64);
-    BaselineMachine m(p);
+    CmpMachine m(p, "baseline");
     MachineConfig cfg;
     cfg.num_vertices = 1;
     m.configure(cfg);
@@ -117,7 +117,7 @@ TEST(Prefetch, RandomAccessesNotAffectedBySwitch)
     auto random_time = [&](bool enabled) {
         MachineParams q = p;
         q.stream_prefetch = enabled;
-        BaselineMachine m(q);
+        CmpMachine m(q, "baseline");
         MachineConfig cfg;
         cfg.num_vertices = 1;
         m.configure(cfg);

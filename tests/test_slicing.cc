@@ -12,7 +12,7 @@
 #include "graph/generators.hh"
 #include "graph/reorder.hh"
 #include "graph/slicing.hh"
-#include "omega/omega_machine.hh"
+#include "sim/cmp_machine.hh"
 #include "util/rng.hh"
 
 namespace omega {
@@ -104,14 +104,14 @@ TEST(Slicing, SlicedPageRankMatchesUnsliced)
         ASSERT_NEAR(plain.rank[v], sliced.rank[v], 1e-12) << v;
 }
 
-TEST(Slicing, SlicedRunWorksOnOmegaMachine)
+TEST(Slicing, SlicedRunWorksWithNearMemoryUnit)
 {
     Graph g = testGraph();
     MachineParams p = MachineParams::omega().scaledCapacities(1.0 / 256);
     const std::uint32_t line = 9;
     const auto plan =
         planSlices(g, p.sp_total_bytes, line, SlicingPolicy::FitHotVtxProp);
-    OmegaMachine m(p);
+    CmpMachine m(p, "omega");
     const auto sliced = runPageRankSliced(g, &m, plan, 2);
     const auto plain = runPageRank(g, nullptr, 2);
     EXPECT_GT(m.cycles(), 0u);

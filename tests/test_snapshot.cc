@@ -26,6 +26,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algorithms/algorithms.hh"
@@ -190,8 +191,9 @@ TEST(SnapshotFile, BadMagicIsFormatError)
 TEST(SnapshotFile, VersionBumpIsVersionError)
 {
     // Version 1 files carry the removed intra-run pipeline's replay
-    // counters in the machine section: refused, never misparsed.
-    for (const std::uint32_t version : {kSnapshotVersion + 1, 1u}) {
+    // counters in the machine section, version 2 the separate baseline
+    // and OMEGA machine layouts: refused, never misparsed.
+    for (const std::uint32_t version : {kSnapshotVersion + 1, 1u, 2u}) {
         const std::string path = writeSampleFile("badversion.snap");
         auto bytes = slurpBytes(path);
         bytes[8] = static_cast<char>(version); // version u32 at 8
@@ -485,6 +487,41 @@ TEST(SnapshotResume, WrongGraphIsRejected)
     EXPECT_THROW(runAlgo(AlgorithmKind::BFS, g2, m.get(), &resume),
                  SnapshotError);
     std::remove(path.c_str());
+}
+
+/**
+ * Save @p from's machine state and restore it into @p into; returns the
+ * SnapshotStateError message ("" when the restore went through).
+ */
+std::string
+crossRestoreError(const std::string &from, const std::string &into)
+{
+    SnapshotWriter w;
+    makeMachine(from)->saveState(w);
+    SnapshotReader r(w.bytes());
+    try {
+        makeMachine(into)->restoreState(r);
+    } catch (const SnapshotStateError &e) {
+        return e.what();
+    }
+    return {};
+}
+
+TEST(SnapshotResume, NearMemoryMismatchIsRejected)
+{
+    // The machine section leads with its composition: a snapshot of a
+    // machine with the near-memory unit never restores into one without
+    // it, or the reverse, and the error names the mismatch.
+    for (const auto &[from, into] :
+         {std::pair<std::string, std::string>{"omega", "baseline"},
+          {"baseline", "omega"}}) {
+        const std::string error = crossRestoreError(from, into);
+        EXPECT_NE(error.find("near-memory unit"), std::string::npos)
+            << from << " -> " << into << ": '" << error << "'";
+    }
+    EXPECT_NE(crossRestoreError("grasp", "baseline").find("LLC policy"),
+              std::string::npos);
+    EXPECT_EQ(crossRestoreError("omega", "omega"), "");
 }
 
 TEST(SnapshotResume, UnarmedFaultMachineRejectsArmedSnapshot)
