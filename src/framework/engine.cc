@@ -96,26 +96,23 @@ Engine::emitStreaming(std::uint64_t base, std::uint64_t bytes, bool write,
     if (!mach_ || bytes == 0)
         return;
     // One line-sized access per 64 B, spread across the cores exactly as
-    // the static schedule would. Structurally pure, so it runs scripted.
-    const std::uint64_t lines = (bytes + 63) / 64;
-    scriptedFor(
-        lines,
-        [&](ScriptBuilder &b, std::uint64_t i) {
-            if (write) {
-                b.push(EngineOp::store(base + i * 64, 64, cls, 0,
-                                       /*sequential=*/true));
-            } else {
-                b.push(EngineOp::load(base + i * 64, 64, cls, false, 0,
-                                      /*sequential=*/true));
-            }
-            b.push(EngineOp::compute(8));
-        },
-        [](unsigned, std::uint64_t) {});
+    // the static schedule would.
+    parallelFor((bytes + 63) / 64, [&](unsigned core, std::uint64_t i) {
+        if (write) {
+            emitStore(core, base + i * 64, 64, cls, 0, /*sequential=*/true);
+        } else {
+            emitLoad(core, base + i * 64, 64, cls, false, 0,
+                     /*sequential=*/true);
+        }
+        emitCompute(core, 8);
+    });
 }
 
 void
 Engine::finishPhase()
 {
+    omega_assert(op_buf_.empty(), "engine events emitted outside a "
+                                  "parallelFor item");
     ++phases_;
     if (mach_) {
         mach_->barrier();
@@ -130,6 +127,8 @@ Engine::finishPhase()
 void
 Engine::finishIteration()
 {
+    omega_assert(op_buf_.empty(), "engine events emitted outside a "
+                                  "parallelFor item");
     if (mach_) {
         mach_->barrier();
         mach_->endIteration();

@@ -11,6 +11,11 @@
  * no machine attached the engine degenerates to a fast functional
  * executor, which is what the correctness tests use.
  *
+ * Event path: every event, whether the engine's own or an algorithm's
+ * emit*() call, is appended in emission order to one op buffer, which
+ * reaches the machine through MemorySystem::replayOps() at the end of
+ * each parallelFor item (and whenever it holds kOpBufferCap ops).
+ *
  * Parallelism model: work is dealt to the 16 logical cores with an
  * OpenMP-style static-chunk schedule; the engine interleaves per-core
  * streams by always advancing the core with the smallest local clock, so
@@ -25,7 +30,6 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
-#include <type_traits>
 #include <vector>
 
 #include "framework/properties.hh"
@@ -80,11 +84,7 @@ struct EngineOptions
     CheckpointCoordinator *checkpoint = nullptr;
 };
 
-/**
- * Tag type for edgeMap calls with no per-vertex emission hook. Detected
- * at compile time so a whole edge task's buffered ops can be handed to
- * the machine as one replayOps() run with no mid-task flush point.
- */
+/** The per-vertex hook of edgeMap calls that have none. */
 struct NoVertexHook
 {
     void operator()(unsigned, VertexId) const {}
@@ -143,46 +143,39 @@ class Engine
      *  more phases. Profiled runs use it to size phase attribution. */
     std::uint64_t phases() const { return phases_; }
 
-    /** @name Raw event emission (custom algorithms: TC, KC). @{ */
+    /**
+     * Ops the buffer holds before emission flushes it mid-item (96 KiB).
+     * Splitting an item's run is timing-identical under the replayOps()
+     * contract; the cap only bounds host memory (one TC item on the fig14
+     * `ap` graph emits 750,333 ops).
+     */
+    static constexpr std::size_t kOpBufferCap = 4096;
+
+    /**
+     * @name Raw event emission (custom algorithms: TC, KC).
+     * Only valid inside a parallelFor() item (including edgeMap update
+     * lambdas and hooks, and vertexMap functors), with @p core the
+     * item's core: the op joins the item's run in emission order.
+     * @{
+     */
     void
     emitCompute(unsigned core, std::uint64_t ops)
     {
-        if (mach_)
-            mach_->compute(core, ops);
+        emit(core, EngineOp::compute(ops));
     }
     void
     emitLoad(unsigned core, std::uint64_t addr, std::uint32_t size,
              AccessClass cls, bool blocking = false, VertexId vertex = 0,
              bool sequential = false)
     {
-        if (!mach_)
-            return;
-        MemAccess a;
-        a.core = core;
-        a.op = MemOp::Load;
-        a.addr = addr;
-        a.size = size;
-        a.cls = cls;
-        a.blocking = blocking;
-        a.sequential = sequential;
-        a.vertex = vertex;
-        mach_->memAccess(a);
+        emit(core,
+             EngineOp::load(addr, size, cls, blocking, vertex, sequential));
     }
     void
     emitStore(unsigned core, std::uint64_t addr, std::uint32_t size,
               AccessClass cls, VertexId vertex = 0, bool sequential = false)
     {
-        if (!mach_)
-            return;
-        MemAccess a;
-        a.core = core;
-        a.op = MemOp::Store;
-        a.addr = addr;
-        a.size = size;
-        a.cls = cls;
-        a.sequential = sequential;
-        a.vertex = vertex;
-        mach_->memAccess(a);
+        emit(core, EngineOp::store(addr, size, cls, vertex, sequential));
     }
     /** Stream @p bytes sequentially at line granularity (memset-like). */
     void emitStreaming(std::uint64_t base, std::uint64_t bytes, bool write,
@@ -228,10 +221,9 @@ class Engine
     void
     emitSrcPropRead(unsigned core, VertexId u)
     {
-        if (!mach_ || !src_prop_)
-            return;
-        mach_->readSrcProp(core, u, src_prop_->addrOf(u),
-                           src_prop_->typeSize());
+        if (src_prop_)
+            emit(core, EngineOp::srcProp(u, src_prop_->addrOf(u),
+                                         src_prop_->typeSize()));
     }
     /** @} */
 
@@ -276,8 +268,7 @@ class Engine
      * locally — no atomics anywhere. @p gather is called per in-edge as
      *   gather(core, dst, src, weight)
      * and @p apply once per destination after its edges, with the engine
-     * emitting the destination-prop store. @p gather and @p apply are
-     * functional-only: they must emit no machine events.
+     * emitting the destination-prop store.
      *
      * @param src_prop property read per in-edge (the random stream).
      * @param dst_prop property stored once per destination.
@@ -298,51 +289,14 @@ class Engine
 
     /**
      * Plain interleaved parallel-for over [0, total); @p f(core, index)
-     * does its own event emission. Ends with a barrier.
+     * does its own event emission, and the item's ops reach the machine
+     * when it returns, before the next core is picked. Ends with a
+     * barrier.
      *
      * @param chunk static-schedule chunk; 0 selects opts_.chunk_size.
      */
     template <typename F>
     void parallelFor(std::uint64_t total, F &&f, unsigned chunk = 0);
-
-    /**
-     * Append-only view of the engine's script buffer, handed to
-     * scriptedFor() generators. hookHere() marks where the item's
-     * functional hook runs during replay (default: after all of the
-     * item's ops).
-     */
-    class ScriptBuilder
-    {
-      public:
-        explicit ScriptBuilder(std::vector<EngineOp> &ops) : ops_(ops) {}
-        void push(const EngineOp &op) { ops_.push_back(op); }
-        void hookHere() { hook_ = ops_.size(); }
-        std::size_t
-        hookOffset() const
-        {
-            return hook_ == kAtEnd ? ops_.size() : hook_;
-        }
-
-      private:
-        static constexpr std::size_t kAtEnd = ~std::size_t{0};
-        std::vector<EngineOp> &ops_;
-        std::size_t hook_ = kAtEnd;
-    };
-
-    /**
-     * Scripted parallel-for over [0, total) for structurally pure
-     * phases: a parallelFor() whose per-item step generates the item's
-     * machine ops with @p gen(builder, index), replays them up to the
-     * builder's hook point, runs @p hook(core, index) (the item's
-     * functional work, which may emit live events), then replays the
-     * rest. @p gen must be pure — it may read shared immutable state
-     * (graph, layout, subset) but never machine state — so each item
-     * reaches the machine as at most two replayOps() runs. Ends with a
-     * barrier, like parallelFor().
-     */
-    template <typename GenF, typename HookF>
-    void scriptedFor(std::uint64_t total, GenF &&gen, HookF &&hook,
-                     unsigned chunk = 0);
 
     /** @name Simulated address bases (exposed for algorithms/tests). @{ */
     std::uint64_t outOffsetsBase() const { return out_offsets_base_; }
@@ -394,14 +348,31 @@ class Engine
     /** Pick the core with the smallest clock among those with work. */
     unsigned pickCore(const StaticScheduler &sched) const;
 
-    /** Flush the buffered ops of the current (impure) edge task. */
+    /** Append one event of @p core's current item (no-op without a
+     *  machine), flushing at the cap. */
+    void
+    emit(unsigned core, const EngineOp &op)
+    {
+        if (!mach_)
+            return;
+        op_buf_.push_back(op);
+        if (op_buf_.size() >= kOpBufferCap)
+            flushOps(core);
+    }
+
+    /** Hand the buffered ops to the machine as one replayOps() run: the
+     *  engine's one delivery point. */
     void
     flushOps(unsigned core)
     {
-        if (!op_buf_.empty()) {
-            mach_->replayOps(core, op_buf_);
-            op_buf_.clear();
-        }
+        if (op_buf_.empty())
+            return;
+        mach_->replayOps(core, op_buf_);
+        ScriptReplayStats run;
+        run.merged_items = 1;
+        run.merged_ops = op_buf_.size();
+        mach_->accumulateReplayStats(run);
+        op_buf_.clear();
     }
 
     const Graph &g_;
@@ -435,11 +406,8 @@ class Engine
     /** Cached per-core clocks for the parallelFor interleave scan. */
     std::vector<Cycles> core_clocks_;
 
-    /** Inline op buffer of the (impure) push-edgeMap path. */
+    /** The current parallelFor item's ops, in emission order. */
     std::vector<EngineOp> op_buf_;
-    /** The current scriptedFor item's ops. Separate from op_buf_ because
-     *  vertexMap hooks may emit live events through the push path. */
-    std::vector<EngineOp> script_buf_;
 
     /** Reused task-list scratch for edgeMap / edgeMapPullAll. */
     std::vector<EdgeTask> task_scratch_;
@@ -516,6 +484,7 @@ Engine::parallelFor(std::uint64_t total, F &&f, unsigned chunk)
             }
             const auto i = sched.next(best);
             f(best, *i);
+            flushOps(best);
             core_clocks_[best] = mach_->coreNow(best);
             if (!sched.peek(best))
                 alive &= ~(std::uint64_t{1} << best);
@@ -525,42 +494,10 @@ Engine::parallelFor(std::uint64_t total, F &&f, unsigned chunk)
             const unsigned c = pickCore(sched);
             const auto i = sched.next(c);
             f(c, *i);
+            flushOps(c);
         }
     }
     finishPhase();
-}
-
-template <typename GenF, typename HookF>
-void
-Engine::scriptedFor(std::uint64_t total, GenF &&gen, HookF &&hook,
-                    unsigned chunk)
-{
-    // Functional mode runs the hooks only (parallelFor's round-robin
-    // drain, no barrier).
-    ScriptReplayStats stats;
-    parallelFor(
-        total,
-        [&](unsigned core, std::uint64_t i) {
-            if (!mach_) {
-                hook(core, i);
-                return;
-            }
-            script_buf_.clear();
-            ScriptBuilder b(script_buf_);
-            gen(b, i);
-            const std::size_t at = b.hookOffset();
-            if (at > 0)
-                mach_->replayOps(core, {script_buf_.data(), at});
-            hook(core, i);
-            if (script_buf_.size() > at)
-                mach_->replayOps(core, {script_buf_.data() + at,
-                                        script_buf_.size() - at});
-            ++stats.merged_items;
-            stats.merged_ops += script_buf_.size();
-        },
-        chunk);
-    if (mach_)
-        mach_->accumulateReplayStats(stats);
 }
 
 inline bool
@@ -624,50 +561,21 @@ Engine::processEdgeTask(unsigned core, const EdgeTask &task,
                         bool want_output, bool dense_output,
                         bool sparse_frontier)
 {
-    // Push-direction tasks are impure — op content depends on what the
-    // update lambda did — so they cannot be scripted ahead. Instead the
-    // ops are buffered inline and handed over in whole-task replayOps()
-    // runs: deferral-safe because nothing functional reads machine state
-    // mid-task (the engine consults coreNow() only between tasks), so
-    // the machine event order and the functional order both match the
-    // legacy per-event emission exactly.
     const VertexId u = task.u;
-    const bool sim = mach_ != nullptr;
     if (task.first_segment) {
-        if (sim) {
-            if (sparse_frontier) {
-                op_buf_.push_back(EngineOp::load(
-                    sparse_read_base_ + 4 * task.frontier_slot, 4,
-                    AccessClass::ActiveList, false, 0,
-                    /*sequential=*/true));
-            } else {
-                op_buf_.push_back(EngineOp::load(
-                    dense_active_base_ + u, 1, AccessClass::ActiveList,
-                    false, 0, /*sequential=*/true));
-            }
-            op_buf_.push_back(EngineOp::compute(1));
+        if (sparse_frontier) {
+            emitLoad(core, sparse_read_base_ + 4 * task.frontier_slot, 4,
+                     AccessClass::ActiveList, false, 0, /*sequential=*/true);
+        } else {
+            emitLoad(core, dense_active_base_ + u, 1, AccessClass::ActiveList,
+                     false, 0, /*sequential=*/true);
         }
-        if (!task.active) {
-            if (sim)
-                flushOps(core);
+        emitCompute(core, 1);
+        if (!task.active)
             return;
-        }
-        if (sim) {
-            // The offsets pair read (see emitOffsetsRead).
-            op_buf_.push_back(EngineOp::load(
-                out_offsets_base_ + static_cast<std::uint64_t>(u) * 8, 16,
-                AccessClass::EdgeList, false, 0,
-                /*sequential=*/!sparse_frontier));
-            op_buf_.push_back(EngineOp::compute(opts_.ops_per_vertex));
-        }
-        if constexpr (!std::is_same_v<std::decay_t<VertexHookF>,
-                                      NoVertexHook>) {
-            // The hook emits live events of its own: flush so the
-            // buffered prologue stays ahead of them.
-            if (sim)
-                flushOps(core);
-            vertex_hook(core, u);
-        }
+        emitOffsetsRead(core, u, /*sequential=*/!sparse_frontier);
+        emitCompute(core, opts_.ops_per_vertex);
+        vertex_hook(core, u);
     }
 
     const auto nbrs = g_.outNeighbors(u);
@@ -678,39 +586,29 @@ Engine::processEdgeTask(unsigned core, const EdgeTask &task,
     const std::size_t end = task.offset + task.count;
     for (std::size_t i = task.offset; i < end; ++i) {
         const VertexId dst = nbrs[i];
-        if (sim) {
-            op_buf_.push_back(EngineOp::load(
-                out_arcs_base_ + (base + i) * edge_entry_bytes_,
-                edge_entry_bytes_, AccessClass::EdgeList, false, 0,
-                /*sequential=*/true));
-            if (read_src) {
-                op_buf_.push_back(EngineOp::srcProp(
-                    u, src_prop_->addrOf(u), src_prop_->typeSize()));
-            }
-        }
+        emitEdgeRead(core, base + i);
+        if (read_src)
+            emitSrcPropRead(core, u);
 
         const EdgeUpdateResult r = update(core, u, dst, ws[i]);
 
-        if (r.read_dst && atomic_target_ && sim) {
-            op_buf_.push_back(EngineOp::load(
-                atomic_target_->addrOf(dst), atomic_target_->typeSize(),
-                AccessClass::VertexProp, false, dst));
+        if (r.read_dst && atomic_target_) {
+            emitLoad(core, atomic_target_->addrOf(dst),
+                     atomic_target_->typeSize(), AccessClass::VertexProp,
+                     false, dst);
         }
         const bool newly =
             (r.activated && want_output) ? markActive(core, dst, dense_output)
                                          : false;
-        if (r.performed_atomic && atomic_target_ && sim) {
-            op_buf_.push_back(EngineOp::atomic(
-                dst, atomic_target_->addrOf(dst),
-                atomic_target_->typeSize(),
-                static_cast<std::uint8_t>(fn_.operand_bytes),
-                newly && dense_output, newly && !dense_output));
+        if (r.performed_atomic && atomic_target_) {
+            emit(core, EngineOp::atomic(
+                           dst, atomic_target_->addrOf(dst),
+                           atomic_target_->typeSize(),
+                           static_cast<std::uint8_t>(fn_.operand_bytes),
+                           newly && dense_output, newly && !dense_output));
         }
-        if (sim)
-            op_buf_.push_back(EngineOp::compute(opts_.ops_per_edge));
+        emitCompute(core, opts_.ops_per_edge);
     }
-    if (sim)
-        flushOps(core);
 }
 
 template <typename UpdateF, typename VertexHookF>
@@ -861,67 +759,40 @@ Engine::edgeMapPullAll(const PropArrayBase &src_prop,
         }
     }
 
-    // Pull tasks are structurally pure: every op depends only on the
-    // graph and the property layout, so they run scripted. The gathers
-    // and the apply are functional-only — running them at the item hook,
-    // after the item's ops, is invisible to both streams: the legacy
-    // order emits nothing between them, and the destination store is
-    // address-only.
-    auto gen_task = [&](ScriptBuilder &b, const EdgeTask &task) {
+    auto run_task = [&](unsigned core, const EdgeTask &task) {
         const VertexId dst = task.u;
         if (task.first_segment) {
-            b.push(EngineOp::load(
-                in_offsets_base_ + static_cast<std::uint64_t>(dst) * 8, 16,
-                AccessClass::EdgeList, false, 0, /*sequential=*/true));
-            b.push(EngineOp::compute(opts_.ops_per_vertex));
+            emitInOffsetsRead(core, dst);
+            emitCompute(core, opts_.ops_per_vertex);
         }
         const auto nbrs = g_.inNeighbors(dst);
+        const auto ws = g_.inWeights(dst);
         const EdgeId base = g_.inEdgeBase(dst);
         const std::size_t end = task.offset + task.count;
         for (std::size_t i = task.offset; i < end; ++i) {
-            b.push(EngineOp::load(
-                in_arcs_base_ + (base + i) * edge_entry_bytes_,
-                edge_entry_bytes_, AccessClass::EdgeList, false, 0,
-                /*sequential=*/true));
+            emitInEdgeRead(core, base + i);
             // The random read stream of pull mode: the source's vtxProp.
-            b.push(EngineOp::load(src_prop.addrOf(nbrs[i]),
-                                  src_prop.typeSize(),
-                                  AccessClass::VertexProp, false, nbrs[i]));
-            b.push(EngineOp::compute(opts_.ops_per_edge));
+            emitLoad(core, src_prop.addrOf(nbrs[i]), src_prop.typeSize(),
+                     AccessClass::VertexProp, false, nbrs[i]);
+            emitCompute(core, opts_.ops_per_edge);
+            gather(core, dst, nbrs[i], ws[i]);
         }
         if (task.first_segment) {
-            b.push(EngineOp::store(dst_prop.addrOf(dst),
-                                   dst_prop.typeSize(),
-                                   AccessClass::VertexProp, dst,
-                                   /*sequential=*/true));
+            apply(core, dst);
+            emitStore(core, dst_prop.addrOf(dst), dst_prop.typeSize(),
+                      AccessClass::VertexProp, dst, /*sequential=*/true);
         }
     };
-    auto hook_task = [&](unsigned core, const EdgeTask &task) {
-        const VertexId dst = task.u;
-        const auto nbrs = g_.inNeighbors(dst);
-        const auto ws = g_.inWeights(dst);
-        const std::size_t end = task.offset + task.count;
-        for (std::size_t i = task.offset; i < end; ++i)
-            gather(core, dst, nbrs[i], ws[i]);
-        if (task.first_segment)
-            apply(core, dst);
-    };
 
-    scriptedFor(
-        tasks.size(),
-        [&](ScriptBuilder &b, std::uint64_t idx) { gen_task(b, tasks[idx]); },
-        [&](unsigned core, std::uint64_t idx) {
-            hook_task(core, tasks[idx]);
-        });
+    parallelFor(tasks.size(), [&](unsigned core, std::uint64_t idx) {
+        run_task(core, tasks[idx]);
+    });
     if (!extras.empty()) {
         mergeExtraTasks(extras);
-        scriptedFor(
+        parallelFor(
             extras.size(),
-            [&](ScriptBuilder &b, std::uint64_t idx) {
-                gen_task(b, extras[idx]);
-            },
             [&](unsigned core, std::uint64_t idx) {
-                hook_task(core, extras[idx]);
+                run_task(core, extras[idx]);
             },
             /*chunk=*/1);
     }
@@ -933,55 +804,35 @@ Engine::vertexMap(const VertexSubset &subset, F &&f,
                   const std::vector<const PropArrayBase *> &reads,
                   const std::vector<const PropArrayBase *> &writes)
 {
-    // vertexMap is structurally pure (op content depends only on the
-    // subset and the property layout), so it runs scripted. The property
-    // reads replay ahead of the hook and the writes + per-vertex compute
-    // after it: f may emit live events of its own (some algorithms do),
-    // and they land between the two replay segments exactly where the
-    // legacy per-event order put them.
-    auto gen_active = [&](ScriptBuilder &b, VertexId v) {
+    auto run_active = [&](unsigned core, VertexId v) {
         for (const auto *p : reads) {
-            b.push(EngineOp::load(p->addrOf(v), p->typeSize(),
-                                  AccessClass::VertexProp, false, v,
-                                  /*sequential=*/true));
+            emitLoad(core, p->addrOf(v), p->typeSize(),
+                     AccessClass::VertexProp, false, v, /*sequential=*/true);
         }
-        b.hookHere();
+        f(core, v);
         for (const auto *p : writes) {
-            b.push(EngineOp::store(p->addrOf(v), p->typeSize(),
-                                   AccessClass::VertexProp, v,
-                                   /*sequential=*/true));
+            emitStore(core, p->addrOf(v), p->typeSize(),
+                      AccessClass::VertexProp, v, /*sequential=*/true);
         }
-        b.push(EngineOp::compute(opts_.ops_per_vertex));
+        emitCompute(core, opts_.ops_per_vertex);
     };
 
     if (subset.isDense()) {
         const auto &bits = subset.dense();
-        scriptedFor(
-            subset.numVertices(),
-            [&](ScriptBuilder &b, std::uint64_t idx) {
-                const auto v = static_cast<VertexId>(idx);
-                b.push(EngineOp::load(dense_active_base_ + v, 1,
-                                      AccessClass::ActiveList, false, 0,
-                                      /*sequential=*/true));
-                if (bits[v])
-                    gen_active(b, v);
-            },
-            [&](unsigned core, std::uint64_t idx) {
-                const auto v = static_cast<VertexId>(idx);
-                if (bits[v])
-                    f(core, v);
-            });
+        parallelFor(subset.numVertices(), [&](unsigned core, std::uint64_t i) {
+            const auto v = static_cast<VertexId>(i);
+            emitLoad(core, dense_active_base_ + v, 1, AccessClass::ActiveList,
+                     false, 0, /*sequential=*/true);
+            if (bits[v])
+                run_active(core, v);
+        });
     } else {
         const auto &ids = subset.sparse();
-        scriptedFor(
-            ids.size(),
-            [&](ScriptBuilder &b, std::uint64_t idx) {
-                b.push(EngineOp::load(sparse_read_base_ + 4 * idx, 4,
-                                      AccessClass::ActiveList,
-                                      /*blocking=*/true));
-                gen_active(b, ids[idx]);
-            },
-            [&](unsigned core, std::uint64_t idx) { f(core, ids[idx]); });
+        parallelFor(ids.size(), [&](unsigned core, std::uint64_t idx) {
+            emitLoad(core, sparse_read_base_ + 4 * idx, 4,
+                     AccessClass::ActiveList, /*blocking=*/true);
+            run_active(core, ids[idx]);
+        });
     }
 }
 

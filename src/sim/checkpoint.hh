@@ -7,8 +7,9 @@
  * itself as named *sections* on a CheckpointCoordinator at run start.
  * Checkpoints are taken only at engine iteration boundaries, where the
  * machine is quiescent by construction: every core has drained through
- * the barrier, no scripted epoch is in flight, the push-path op buffer
- * is empty and completed busy-table entries have retired. At such a
+ * the barrier, the engine's op buffer is empty (it is flushed after
+ * every parallelFor item) and completed busy-table entries have
+ * retired. At such a
  * point the registered sections are the *complete* simulation state, so
  * restoring them into a freshly constructed run and simply re-entering
  * the algorithm loop reproduces the uninterrupted run bit for bit —

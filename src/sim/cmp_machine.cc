@@ -376,21 +376,6 @@ CmpMachine::spFaultPenalty(unsigned core, const SpRoute &route,
     return penalty;
 }
 
-void
-CmpMachine::cacheAccess(const MemAccess &access)
-{
-    CoreModel &core = tiles_[access.core].core;
-    if (!access.blocking)
-        core.prepareIssue();
-    const bool prefetched =
-        access.sequential && params_.stream_prefetch;
-    const Cycles lat =
-        hierarchy_.access(access.core, access.addr,
-                          access.op == MemOp::Store, core.now(),
-                          prefetched);
-    core.issueMemory(lat, access.blocking);
-}
-
 bool
 CmpMachine::scratchpadLoadStore(unsigned core, std::uint64_t addr,
                                 std::uint32_t size, bool write,
@@ -404,26 +389,42 @@ CmpMachine::scratchpadLoadStore(unsigned core, std::uint64_t addr,
     return true;
 }
 
+inline void
+CmpMachine::loadStore(unsigned core, std::uint64_t addr, std::uint32_t size,
+                      AccessClass cls, VertexId vertex, bool write,
+                      bool blocking, bool sequential)
+{
+    if (cls == AccessClass::VertexProp) {
+        countVertexAccess(vertex);
+        if (nmu_ != nullptr &&
+            scratchpadLoadStore(core, addr, size, write, blocking))
+            return;
+    }
+    // The cache path. A non-blocking access checks the MSHR window once
+    // up front; issueMemoryPrepared() then skips the redundant re-check.
+    CoreModel &c = tiles_[core].core;
+    if (!blocking)
+        c.prepareIssue();
+    const Cycles lat = hierarchy_.access(core, addr, write, c.now(),
+                                         sequential && params_.stream_prefetch);
+    if (blocking)
+        c.issueMemory(lat, /*blocking=*/true);
+    else
+        c.issueMemoryPrepared(lat);
+}
+
 void
 CmpMachine::memAccess(const MemAccess &access)
 {
-    if (access.cls == AccessClass::VertexProp) {
-        countVertexAccess(access.vertex);
-        if (nmu_ != nullptr &&
-            scratchpadLoadStore(access.core, access.addr, access.size,
-                                access.op == MemOp::Store, access.blocking))
-            return;
-    }
-    cacheAccess(access);
+    loadStore(access.core, access.addr, access.size, access.cls,
+              access.vertex, access.op == MemOp::Store, access.blocking,
+              access.sequential);
 }
 
 void
 CmpMachine::replayOps(unsigned core, std::span<const EngineOp> ops)
 {
-    // The scripted hot path: one virtual dispatch per task instead of
-    // one per event. Cache-path loads/stores are cacheAccess() with the
-    // window re-check skipped (issueMemoryPrepared); scratchpad-claimed
-    // vtxProp ops, source reads and atomics run the full method.
+    // One virtual dispatch per run instead of one per event.
     CoreModel &c = tiles_[core].core;
     for (const EngineOp &op : ops) {
         switch (op.kind) {
@@ -431,28 +432,12 @@ CmpMachine::replayOps(unsigned core, std::span<const EngineOp> ops)
             c.compute(op.arg);
             break;
           case EngineOpKind::Load:
-          case EngineOpKind::Store: {
-            const bool store = op.kind == EngineOpKind::Store;
-            const bool blocking = (op.flags & EngineOp::kBlocking) != 0;
-            if (op.cls == AccessClass::VertexProp) {
-                countVertexAccess(op.vertex);
-                if (nmu_ != nullptr &&
-                    scratchpadLoadStore(core, op.addr, op.arg, store,
-                                        blocking))
-                    break;
-            }
-            if (!blocking)
-                c.prepareIssue();
-            const bool prefetched = (op.flags & EngineOp::kSequential) &&
-                                    params_.stream_prefetch;
-            const Cycles lat =
-                hierarchy_.access(core, op.addr, store, c.now(), prefetched);
-            if (blocking)
-                c.issueMemory(lat, /*blocking=*/true);
-            else
-                c.issueMemoryPrepared(lat);
+          case EngineOpKind::Store:
+            loadStore(core, op.addr, op.arg, op.cls, op.vertex,
+                      op.kind == EngineOpKind::Store,
+                      (op.flags & EngineOp::kBlocking) != 0,
+                      (op.flags & EngineOp::kSequential) != 0);
             break;
-          }
           case EngineOpKind::SrcProp:
             CmpMachine::readSrcProp(core, op.vertex, op.addr, op.arg);
             break;
@@ -554,13 +539,9 @@ CmpMachine::coreAtomic(const AtomicRequest &request)
         // Active-list maintenance runs on the core (paper section V.B:
         // without a PISC there is nothing to offload it to).
         if (request.activates_dense) {
-            MemAccess a;
-            a.core = request.core;
-            a.op = MemOp::Store;
-            a.addr = config_.dense_active_base + request.vertex;
-            a.size = 1;
-            a.cls = AccessClass::ActiveList;
-            cacheAccess(a);
+            loadStore(request.core, config_.dense_active_base + request.vertex,
+                      1, AccessClass::ActiveList, 0, /*write=*/true,
+                      /*blocking=*/false, /*sequential=*/false);
         }
     }
 
@@ -576,15 +557,11 @@ CmpMachine::coreAtomic(const AtomicRequest &request)
             core.issueMemory(clat, false, StallKind::Atomic);
             core.serialize(params_.atomic_serialize, StallKind::Atomic);
         }
-        MemAccess a;
-        a.core = request.core;
-        a.op = MemOp::Store;
-        a.addr = config_.sparse_active_base +
-                 4 * (tile.sparse_appends++ * params_.num_cores +
-                      request.core);
-        a.size = 4;
-        a.cls = AccessClass::ActiveList;
-        cacheAccess(a);
+        const std::uint64_t slot =
+            tile.sparse_appends++ * params_.num_cores + request.core;
+        loadStore(request.core, config_.sparse_active_base + 4 * slot, 4,
+                  AccessClass::ActiveList, 0, /*write=*/true,
+                  /*blocking=*/false, /*sequential=*/false);
     }
 }
 

@@ -86,12 +86,6 @@ class CmpMachine final : public MemorySystem
     void configure(const MachineConfig &config) override;
     void compute(unsigned core, std::uint64_t ops) override;
     void memAccess(const MemAccess &access) override;
-    void
-    memAccessBatch(std::span<const MemAccess> accesses) override
-    {
-        for (const MemAccess &a : accesses)
-            CmpMachine::memAccess(a);
-    }
     void replayOps(unsigned core, std::span<const EngineOp> ops) override;
     void readSrcProp(unsigned core, VertexId vertex, std::uint64_t addr,
                      std::uint32_t size) override;
@@ -149,8 +143,14 @@ class CmpMachine final : public MemorySystem
     void countVertexAccess(VertexId vertex);
     void buildStatTree();
     void takeSample(SampleKind kind);
-    /** The cache path of a load/store. */
-    void cacheAccess(const MemAccess &access);
+    /**
+     * The one load/store path (memAccess() and replayed Load/Store ops):
+     * a vtxProp access the near-memory unit claims goes to its
+     * scratchpad, everything else to the cache hierarchy.
+     */
+    void loadStore(unsigned core, std::uint64_t addr, std::uint32_t size,
+                   AccessClass cls, VertexId vertex, bool write,
+                   bool blocking, bool sequential);
     /**
      * Serve a vtxProp load/store from the near-memory unit when its
      * controller claims @p addr. Returns false (nothing charged) when

@@ -1,17 +1,14 @@
 /**
  * @file
- * Compact engine->machine event records for batched (scripted) delivery.
+ * Compact engine->machine event records for batched delivery.
  *
- * The engine's task loops used to push every event through a separate
- * virtual call (memAccess / readSrcProp / atomicUpdate / compute): three
- * to five dispatches per edge, ~400M per fig14 run. An EngineOp is the
- * same event flattened into a 24-byte POD; a task's worth of them is
- * handed to the machine in one MemorySystem::replayOps() call, which
- * concrete machines override with a tight, devirtualized loop.
- *
- * For structurally pure phases an item's ops are a function of the graph
- * and the layout only (Engine::scriptedFor); DESIGN.md §12 "Serial
- * scripted replay and the SIMD data path".
+ * An EngineOp is one engine event (compute, load, store, source-prop
+ * read, atomic update) flattened into a 24-byte POD. The engine appends
+ * every event it or an algorithm emits to one buffer, in emission order,
+ * and hands each parallelFor item's ops to the machine through
+ * MemorySystem::replayOps() — one virtual dispatch per run instead of
+ * three to five per edge; concrete machines override it with a tight,
+ * devirtualized loop. DESIGN.md §12 "One event path".
  */
 
 #ifndef OMEGA_SIM_ENGINE_OPS_HH
@@ -130,7 +127,7 @@ struct EngineOp
         return op;
     }
 
-    /** Expand back to the legacy MemAccess form (default replay path). */
+    /** Expand to the MemAccess form (default replay path). */
     MemAccess
     toMemAccess(unsigned core) const
     {
@@ -147,7 +144,7 @@ struct EngineOp
         return a;
     }
 
-    /** Expand back to the legacy AtomicRequest form. */
+    /** Expand to the AtomicRequest form. */
     AtomicRequest
     toAtomicRequest(unsigned core) const
     {
@@ -166,19 +163,20 @@ struct EngineOp
 static_assert(sizeof(EngineOp) <= 24, "EngineOp must stay compact");
 
 /**
- * Counters of the scripted replay path (Engine::scriptedFor), accumulated
- * per machine across a run's phases. They count host replay work, not
- * simulated results, and are a pure function of (graph, layout, phase
- * structure).
+ * Counters of the engine's replay path, accumulated per machine across a
+ * run at its single flush point (Engine::flushOps). They count host
+ * replay work, not simulated results, and are a pure function of the
+ * run's event stream.
  */
 struct ScriptReplayStats
 {
-    /** Always 0: scripted items replay one at a time, with no epoch
-     *  banks to refill. Kept because perfbench/ reads it. */
+    /** Always 0: there are no epoch banks to refill. Kept because
+     *  perfbench/ reads it. */
     std::uint64_t epochs = 0;
-    /** Script items replayed. */
+    /** replayOps() runs delivered: one per parallelFor item that emitted
+     *  anything, plus one per cap-triggered mid-item flush. */
     std::uint64_t merged_items = 0;
-    /** Engine ops replayed. */
+    /** Engine ops delivered through those runs. */
     std::uint64_t merged_ops = 0;
     /** Always 0: there is no per-core item queue. Kept because
      *  perfbench/ reads it. */

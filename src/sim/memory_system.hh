@@ -95,10 +95,9 @@ class MemorySystem
 
     /**
      * Issue a run of accesses that the caller guarantees are consecutive
-     * in simulated order with no intervening machine events — e.g. one
-     * vertexMap task's property reads. Timing-identical to calling
-     * memAccess() per element; implementations override it only to pay
-     * the virtual dispatch once per run instead of once per access.
+     * in simulated order with no intervening machine events.
+     * Timing-identical to calling memAccess() per element; the engine
+     * does not use it (it delivers through replayOps()).
      */
     virtual void
     memAccessBatch(std::span<const MemAccess> accesses)
@@ -108,14 +107,15 @@ class MemorySystem
     }
 
     /**
-     * Replay a run of flattened engine ops for one core — the scripted
-     * delivery path (engine_ops.hh): the engine hands a whole task's
-     * events over in one call instead of one virtual dispatch per event.
-     * The run must be consecutive in simulated order with no intervening
-     * machine events, exactly like memAccessBatch(). The default expands
-     * each op into the corresponding virtual call, so wrappers and test
-     * doubles observe the legacy per-event stream unchanged; concrete
-     * machines override it with a devirtualized loop.
+     * Replay a run of flattened engine ops for one core (engine_ops.hh),
+     * in order: the engine's only delivery path. The engine hands over
+     * each parallelFor item's events, in emission order, as one or more
+     * runs; consecutive runs of one item have no machine events between
+     * them, so splitting a sequence at any point is timing-identical to
+     * replaying it whole. The default expands each op into the
+     * corresponding per-event virtual call, so wrappers and test doubles
+     * observe the same stream; concrete machines override it with a
+     * devirtualized loop.
      */
     virtual void
     replayOps(unsigned core, std::span<const EngineOp> ops)
@@ -242,8 +242,8 @@ class MemorySystem
      * Serialize every word of mutable machine state — clocks, tile
      * state, the spine (caches, crossbar, DRAM, scratchpads), counters
      * and any armed fault injector. Only meaningful at an iteration
-     * boundary (cores drained through a barrier, no scripted epoch in
-     * flight). Default: unsupported — a machine that does not override
+     * boundary (cores drained through a barrier, every replayOps() run
+     * delivered). Default: unsupported — a machine that does not override
      * the pair cannot be checkpointed.
      */
     virtual void
@@ -268,11 +268,11 @@ class MemorySystem
     }
     /** @} */
 
-    /** @name Scripted-replay statistics @{ */
+    /** @name Replay statistics @{ */
     /**
-     * Fold one scriptedFor phase's counters into the per-run totals.
-     * Called by the engine at each phase barrier; lives on the machine so
-     * the totals survive across the several Engine instances some
+     * Fold replay counters into the per-run totals. Called by the engine
+     * once per replayOps() run it delivers; lives on the machine so the
+     * totals survive across the several Engine instances some
      * algorithms construct (sliced PageRank, BC).
      */
     void
@@ -300,8 +300,8 @@ class MemorySystem
     /** @} */
 
     IntervalRecorder *recorder_ = nullptr;
-    /** Scripted-replay totals (deliberately NOT in the stat tree, whose
-     *  entry list is frozen by the pinned golden digests). */
+    /** Replay totals (deliberately NOT in the stat tree, whose entry
+     *  list is frozen by the pinned golden digests). */
     ScriptReplayStats replay_stats_;
 };
 

@@ -6,17 +6,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <sstream>
 
 #include "algorithms/bfs.hh"
 #include "algorithms/pagerank.hh"
+#include "algorithms/triangle.hh"
 #include "framework/engine.hh"
 #include "framework/scheduler.hh"
 #include "framework/vertex_subset.hh"
 #include "graph/builder.hh"
 #include "graph/generators.hh"
 #include "sim/cmp_machine.hh"
+#include "sim/machine_registry.hh"
+#include "testing/fuzz.hh"
+#include "util/json.hh"
 #include "util/rng.hh"
+#include "util/stats.hh"
 
 namespace omega {
 namespace {
@@ -423,6 +430,226 @@ TEST(Engine, IterationCounterAdvances)
     eng.finishIteration();
     eng.finishIteration();
     EXPECT_EQ(eng.iterations(), 2u);
+}
+
+/**
+ * Machine stub that records the per-event stream the default replayOps()
+ * expansion produces, plus the size of every replayOps() run.
+ */
+class RecordingMachine final : public MemorySystem
+{
+  public:
+    struct Event
+    {
+        EngineOpKind kind;
+        unsigned core;
+        std::uint64_t addr;
+        AccessClass cls;
+    };
+
+    RecordingMachine() : params_(MachineParams::baseline()) {}
+
+    void configure(const MachineConfig &) override {}
+    void
+    compute(unsigned core, std::uint64_t) override
+    {
+        events.push_back({EngineOpKind::Compute, core, 0,
+                          AccessClass::VertexProp});
+    }
+    void
+    memAccess(const MemAccess &a) override
+    {
+        events.push_back({a.op == MemOp::Store ? EngineOpKind::Store
+                                               : EngineOpKind::Load,
+                          a.core, a.addr, a.cls});
+    }
+    void
+    replayOps(unsigned core, std::span<const EngineOp> ops) override
+    {
+        runs.push_back(ops.size());
+        MemorySystem::replayOps(core, ops);
+    }
+    void
+    readSrcProp(unsigned core, VertexId, std::uint64_t addr,
+                std::uint32_t) override
+    {
+        events.push_back(
+            {EngineOpKind::SrcProp, core, addr, AccessClass::VertexProp});
+    }
+    void
+    atomicUpdate(const AtomicRequest &r) override
+    {
+        events.push_back(
+            {EngineOpKind::Atomic, r.core, r.addr, AccessClass::VertexProp});
+    }
+    void barrier() override {}
+    void endIteration() override {}
+    Cycles coreNow(unsigned) const override { return 0; }
+    Cycles cycles() const override { return 0; }
+    StatsReport report() const override { return {}; }
+    const MachineParams &params() const override { return params_; }
+    std::string name() const override { return "recording"; }
+
+    std::vector<Event> events;
+    std::vector<std::size_t> runs;
+
+  private:
+    MachineParams params_;
+};
+
+TEST(Engine, UpdateLambdaLoadsLandInEmissionOrder)
+{
+    // An update lambda's own load (BC's depth test, KC's removed test)
+    // belongs between its edge's edge-list read and its atomic: the
+    // program order of the per-edge inner loop.
+    Rng rng(11);
+    Graph g = buildGraph(1 << 6, generateRmat(6, 4, rng));
+    const VertexId n = g.numVertices();
+    PropertyRegistry props(n);
+    auto &prop = props.create<double>("p", 0.0);
+    RecordingMachine mach;
+    Engine eng(g, props, pageRankUpdateFn(), &mach);
+    eng.setAtomicTarget(&prop);
+    eng.configureMachine();
+    const std::uint64_t sentinel = addr_space::kActiveBase + (1ull << 32);
+    eng.edgeMap(VertexSubset::all(n),
+                [&](unsigned core, VertexId, VertexId d, std::int32_t) {
+                    eng.emitLoad(core, sentinel + d, 1,
+                                 AccessClass::NGraphData);
+                    EdgeUpdateResult r;
+                    r.performed_atomic = true;
+                    return r;
+                },
+                /*want_output=*/false);
+    eng.finishIteration();
+
+    const auto &ev = mach.events;
+    const std::uint64_t arcs_end =
+        eng.outArcsBase() + g.numArcs() * eng.edgeEntryBytes();
+    std::size_t atomics = 0;
+    for (std::size_t i = 0; i < ev.size(); ++i) {
+        if (ev[i].kind != EngineOpKind::Atomic)
+            continue;
+        ++atomics;
+        ASSERT_GE(i, 2u);
+        const std::uint64_t d = (ev[i].addr - prop.addrOf(0)) / 8;
+        const auto &load = ev[i - 1];
+        EXPECT_TRUE(load.kind == EngineOpKind::Load &&
+                    load.addr == sentinel + d && load.core == ev[i].core)
+            << "sentinel load of vertex " << d
+            << " is not right before its atomic (event " << i << ")";
+        const auto &edge = ev[i - 2];
+        EXPECT_TRUE(edge.kind == EngineOpKind::Load &&
+                    edge.cls == AccessClass::EdgeList &&
+                    edge.addr >= eng.outArcsBase() && edge.addr < arcs_end &&
+                    edge.core == ev[i].core)
+            << "sentinel load of vertex " << d
+            << " is not right after its edge-list read (event " << i << ")";
+    }
+    EXPECT_EQ(atomics, g.numArcs());
+}
+
+/** Cycles plus the full stat tree of @p m, after a barrier. */
+std::string
+machineOutcome(MemorySystem &m)
+{
+    m.barrier();
+    std::ostringstream os;
+    os << m.cycles() << '|';
+    JsonWriter w(os, /*pretty=*/false);
+    m.statTree()->writeJson(w);
+    return os.str();
+}
+
+TEST(Engine, ReplaySplitIsTimingIdentical)
+{
+    // The op buffer may flush an item's run at any point (the cap); the
+    // machine must not be able to tell. Replay one fixed per-core op
+    // sequence whole and split every k ops, on every registry machine.
+    Rng rng(5);
+    Graph g = buildGraph(1 << 8, generateRmat(8, 8, rng));
+    const VertexId n = g.numVertices();
+    PropertyRegistry props(n);
+    auto &prop = props.create<double>("p", 0.0);
+    // Configures @p m for the run's layout; returns the out-arcs base.
+    const auto layout = [&](MemorySystem *m) {
+        Engine eng(g, props, pageRankUpdateFn(), m);
+        eng.configureMachine();
+        return eng.outArcsBase();
+    };
+    const std::uint64_t arcs = layout(nullptr);
+
+    std::vector<std::vector<EngineOp>> per_core(4);
+    Rng pick(17);
+    for (auto &ops : per_core) {
+        for (int i = 0; i < 600; ++i) {
+            const auto v = static_cast<VertexId>(pick.next() % n);
+            switch (pick.next() % 6) {
+              case 0:
+                ops.push_back(EngineOp::compute(1 + pick.next() % 8));
+                break;
+              case 1:
+                ops.push_back(EngineOp::load(arcs + 4ull * (pick.next() %
+                                                            g.numArcs()),
+                                             4, AccessClass::EdgeList, false,
+                                             0, /*sequential=*/true));
+                break;
+              case 2:
+                ops.push_back(EngineOp::load(prop.addrOf(v), 8,
+                                             AccessClass::VertexProp,
+                                             pick.next() % 4 == 0, v));
+                break;
+              case 3:
+                ops.push_back(EngineOp::store(prop.addrOf(v), 8,
+                                              AccessClass::VertexProp, v));
+                break;
+              case 4:
+                ops.push_back(EngineOp::srcProp(v, prop.addrOf(v), 8));
+                break;
+              default:
+                ops.push_back(EngineOp::atomic(v, prop.addrOf(v), 8, 8,
+                                               pick.next() % 2 == 0, false));
+                break;
+            }
+        }
+    }
+
+    for (const MachineRegistryEntry &entry : machineRegistry()) {
+        const auto replay = [&](std::size_t k) {
+            auto m = entry.make(entry.make_params());
+            layout(m.get());
+            for (unsigned core = 0; core < per_core.size(); ++core) {
+                const std::span<const EngineOp> all(per_core[core]);
+                for (std::size_t at = 0; at < all.size(); at += k) {
+                    m->replayOps(core,
+                                 all.subspan(at, std::min(k, all.size() - at)));
+                }
+            }
+            return machineOutcome(*m);
+        };
+        const std::string whole = replay(per_core[0].size());
+        for (const std::size_t k : {1u, 3u, 7u, 64u}) {
+            EXPECT_EQ(replay(k), whole)
+                << entry.name << " differs when split every " << k
+                << " ops";
+        }
+    }
+}
+
+TEST(Engine, NoReplayRunExceedsTheCap)
+{
+    // Triangle counting on a star: the hub's item merges its whole
+    // neighbor list once per leaf, far more ops than the cap, so the
+    // buffer must flush mid-item.
+    const Graph g =
+        testing::FuzzSpec{testing::FuzzFamily::Star, 13, 128, 1, true}
+            .materialize();
+    RecordingMachine mach;
+    runTriangleCount(g, &mach);
+    ASSERT_FALSE(mach.runs.empty());
+    const std::size_t largest =
+        *std::max_element(mach.runs.begin(), mach.runs.end());
+    EXPECT_EQ(largest, Engine::kOpBufferCap);
 }
 
 } // namespace
